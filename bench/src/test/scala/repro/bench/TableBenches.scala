@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.exp._
 
 /** One bench per evaluation table. Each bench regenerates the table's rows
-  * (printed to stdout — captured in bench_output.txt) and asserts the
+  * (printed to stdout) and asserts the
   * paper's *shape*: which method wins and by roughly what relation.
   * Absolute numbers live side-by-side with the paper's in EXPERIMENTS.md.
   */

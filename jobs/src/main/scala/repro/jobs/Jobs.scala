@@ -1,109 +1,42 @@
 package repro.jobs
 
+import org.apache.spark.sql.SparkSession
 import repro.exp._
 
-/** spark-submit entrypoints, one per evaluation table:
+/** spark-submit entrypoint for the evaluation tables, one table per run:
   *
-  *   spark-submit --class repro.jobs.TableIJob repro-jobs.jar
+  *   spark-submit --class repro.jobs.TableJob repro-jobs.jar table-i
   *
-  * Each prints the same rows the corresponding bench suite records in
+  * Each table prints the same rows the corresponding bench suite records in
   * EXPERIMENTS.md.
   */
-object TableIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-i")
-    println(TableI.run(spark).render); spark.stop()
-  }
-}
+object TableJob {
 
-object TableIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-ii")
-    println(TableII.run(spark).render); spark.stop()
-  }
-}
+  private val tables: Map[String, SparkSession => Seq[Harness.Table]] = Map(
+    "table-i" -> (s => Seq(TableI.run(s))),
+    "table-ii" -> (s => Seq(TableII.run(s))),
+    "table-iii" -> (s => Seq(TableIII.run(s))),
+    "table-iv" -> (s => Seq(TableIV.run(s))),
+    "tables-v-vi" -> { s => val (v, vi) = TablesVVI.run(s); Seq(v, vi) },
+    "table-vii" -> (s => Seq(TableVII.run(s))),
+    "table-viii" -> (s => Seq(TableVIII.run(s))),
+    "table-ix" -> (s => Seq(TableIX.run(s))),
+    "table-x" -> (s => Seq(TableX.run(s))),
+    "table-xi" -> (s => Seq(TableXI.run(s))),
+    "table-xii" -> (s => Seq(TableXII.run(s))),
+    "table-xiii" -> (s => Seq(SamplingTables.tableXIII(s))),
+    "table-xiv" -> (s => Seq(SamplingTables.tableXIV(s))),
+    "table-xv" -> (s => Seq(TableXV.run(s))),
+  )
 
-object TableIIIJob {
   def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-iii")
-    println(TableIII.run(spark).render); spark.stop()
-  }
-}
-
-object TableIVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-iv")
-    println(TableIV.run(spark).render); spark.stop()
-  }
-}
-
-object TablesVVIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("tables-v-vi")
-    val (v, vi) = TablesVVI.run(spark)
-    println(v.render); println(vi.render); spark.stop()
-  }
-}
-
-object TableVIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-vii")
-    println(TableVII.run(spark).render); spark.stop()
-  }
-}
-
-object TableVIIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-viii")
-    println(TableVIII.run(spark).render); spark.stop()
-  }
-}
-
-object TableIXJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-ix")
-    println(TableIX.run(spark).render); spark.stop()
-  }
-}
-
-object TableXJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-x")
-    println(TableX.run(spark).render); spark.stop()
-  }
-}
-
-object TableXIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-xi")
-    println(TableXI.run(spark).render); spark.stop()
-  }
-}
-
-object TableXIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-xii")
-    println(TableXII.run(spark).render); spark.stop()
-  }
-}
-
-object TableXIIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-xiii")
-    println(SamplingTables.tableXIII(spark).render); spark.stop()
-  }
-}
-
-object TableXIVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-xiv")
-    println(SamplingTables.tableXIV(spark).render); spark.stop()
-  }
-}
-
-object TableXVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.localSpark("table-xv")
-    println(TableXV.run(spark).render); spark.stop()
+    val name = args.headOption.getOrElse("")
+    val table = tables.getOrElse(name, {
+      System.err.println(s"usage: TableJob <name>; names: ${tables.keys.toSeq.sorted.mkString(" ")}")
+      sys.exit(2)
+    })
+    val spark = Harness.localSpark(name)
+    try table(spark).foreach(t => println(t.render))
+    finally spark.stop()
   }
 }

@@ -13,8 +13,10 @@ sealed trait DensityNotion extends Serializable {
   /** Instance node sets under this notion (edges / h-cliques / ψ-instances). */
   def instances(g: Graph): Array[Array[Int]]
 
-  /** All densest subgraphs + maximum-sized one + exact optimum density. */
-  def allDensest(g: Graph, cap: Int): DensityNotion.World
+  /** All densest subgraphs (at most `cap` of them) + maximum-sized one +
+    * exact optimum density.
+    */
+  final def allDensest(g: Graph, cap: Int): DensityNotion.World = Densest.allDensest(g, instances, cap)
 
   /** Density of `nodes` inside world `g`, as an exact rational. */
   final def densityOf(g: Graph, nodes: Set[Int]): (Long, Long) = {
@@ -36,42 +38,22 @@ sealed trait DensityNotion extends Serializable {
 
 object DensityNotion {
 
-  /** Per-world result: the densest family (possibly capped), its union, and
-    * the optimum density ρ* as a reduced rational.
-    */
-  final case class World(
-      all: Seq[Array[Int]],
-      capped: Boolean,
-      maxSized: Array[Int],
-      num: Long,
-      den: Long,
-  )
+  /** Per-world result of `allDensest`. */
+  type World = Densest.World
 
   case object Edge extends DensityNotion {
     val name = "edge"
     def instances(g: Graph): Array[Array[Int]] =
       Array.tabulate(g.m)(i => Array(g.edgeU(i), g.edgeV(i)))
-    def allDensest(g: Graph, cap: Int): World = {
-      val r = EdgeDensest.allDensest(g, cap)
-      World(r.all, r.capped, r.maxSized, r.densityNum, r.densityDen)
-    }
   }
 
   final case class Clique(h: Int) extends DensityNotion {
     val name = s"$h-clique"
     def instances(g: Graph): Array[Array[Int]] = Cliques.enumerate(g, h)
-    def allDensest(g: Graph, cap: Int): World = {
-      val r = CliqueDensest.allDensest(g, h, cap)
-      World(r.all, r.capped, r.maxSized, r.densityNum, r.densityDen)
-    }
   }
 
   final case class Pat(psi: Pattern) extends DensityNotion {
     val name = psi.name
     def instances(g: Graph): Array[Array[Int]] = psi.instances(g)
-    def allDensest(g: Graph, cap: Int): World = {
-      val r = PatternDensest.allDensest(g, psi, cap)
-      World(r.all, r.capped, r.maxSized, r.densityNum, r.densityDen)
-    }
   }
 }

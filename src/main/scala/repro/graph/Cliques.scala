@@ -45,43 +45,4 @@ object Cliques {
     }
     results.toArray
   }
-
-  /** Number of h-cliques containing each node (Definition 6). */
-  def degrees(n: Int, cliques: Array[Array[Int]]): Array[Int] = {
-    val deg = new Array[Int](n)
-    for (c <- cliques; v <- c) deg(v) += 1
-    deg
-  }
-
-  /** The distinct (h-1)-cliques contained in the given h-cliques — the set
-    * Λ of Algorithm 2 line 3 — together with, for each, the list of nodes
-    * completing it to an h-clique.
-    *
-    * Returns (lambdaNodeSets, completions) where `completions(i)` lists the
-    * nodes v such that `lambdaNodeSets(i) + v` is one of `cliques`.
-    */
-  def subCliquesWithCompletions(
-      cliques: Array[Array[Int]]
-  ): (Array[Array[Int]], Array[Array[Int]]) = {
-    val idOf = mutable.HashMap.empty[Seq[Int], Int]
-    val lambdas = mutable.ArrayBuffer.empty[Array[Int]]
-    val comps = mutable.ArrayBuffer.empty[mutable.ArrayBuffer[Int]]
-    for (c <- cliques; i <- c.indices) {
-      val sub = new Array[Int](c.length - 1)
-      var k = 0
-      for (j <- c.indices; if j != i) { sub(k) = c(j); k += 1 }
-      val key = sub.toSeq
-      val id = idOf.getOrElseUpdate(key, {
-        lambdas += sub
-        comps += mutable.ArrayBuffer.empty[Int]
-        lambdas.length - 1
-      })
-      comps(id) += c(i)
-    }
-    (lambdas.toArray, comps.map(_.toArray).toArray)
-  }
-
-  /** Count cliques fully contained in the mask. */
-  def countInside(cliques: Array[Array[Int]], inside: Array[Boolean]): Long =
-    cliques.count(_.forall(inside)).toLong
 }

@@ -21,7 +21,7 @@ object DensestEnum {
   /** @param residual  residual adjacency of the flow network (positive arcs)
     * @param s, t      source / sink network-node ids
     * @param vNodeOf   for a network node id, the graph node id if it is a
-    *                  V-node, else -1 (Λ / group nodes)
+    *                  V-node, else -1 (instance-group nodes)
     * @param maxResults stop after this many subgraphs (enumeration count can
     *                  be exponential — Table VIII measures exactly this)
     */

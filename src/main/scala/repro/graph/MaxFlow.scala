@@ -5,7 +5,7 @@ import scala.collection.mutable
 /** Dinic's maximum-flow on integer (Long) capacities.
   *
   * This is the flow substrate behind Goldberg's densest-subgraph algorithm
-  * (§III-A) and the clique/pattern flow networks of Algorithms 6 and 7. All
+  * (§III-A) and the clique/pattern flow network of Algorithm 7. All
   * network capacities in this repo are scaled to integers (densities are
   * rationals `a/b`; capacities are multiplied by `b`), so the computed flow
   * and min cut are exact.

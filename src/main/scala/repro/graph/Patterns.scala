@@ -87,13 +87,6 @@ object Pattern {
   def byName(s: String): Pattern = all.find(_.name == s).getOrElse(
     throw new IllegalArgumentException(s"unknown pattern: $s"))
 
-  /** ψ-degree of each node: number of instances containing it. */
-  def degrees(n: Int, instances: Array[Array[Int]]): Array[Int] = {
-    val deg = new Array[Int](n)
-    for (inst <- instances; v <- inst) deg(v) += 1
-    deg
-  }
-
   /** Group instances by their node set — the Λ' of Algorithm 7 — returning
     * (distinct node sets, multiplicity of each).
     */

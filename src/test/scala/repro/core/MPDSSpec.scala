@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{count, lit, round, sum}
 import repro.{Oracle, SparkSpec}
 import repro.uncertain.{UncertainGraph, WorldSampler}
 import repro.data.Datasets
@@ -45,6 +46,17 @@ class MPDSSpec extends SparkSpec {
       agg,
       "SELECT nodeSet, COUNT(*) AS freq FROM cands GROUP BY nodeSet",
       "cands" -> cands,
+    )
+  }
+
+  test("oracle validates an uncertain-graph edge aggregation") {
+    val df = Datasets.karate().toDF(spark).cache()
+    val agg = df.groupBy("src").agg(count(lit(1)).as("deg"), round(sum("p"), 6).as("psum"))
+    Oracle.assertEquivalent(
+      agg,
+      "SELECT src, COUNT(*) AS deg, ROUND(SUM(CAST(p AS DOUBLE)), 6) AS psum " +
+        "FROM edges GROUP BY src",
+      "edges" -> df,
     )
   }
 

@@ -22,36 +22,11 @@ class CliquesPatternsSpec extends AnyFunSuite {
     }
   }
 
-  test("clique degrees sum to h * #cliques") {
-    Check.forAllGraphs(20, 3, 9) { g =>
-      for (h <- 2 to 4) {
-        val cl = Cliques.enumerate(g, h)
-        assert(Cliques.degrees(g.n, cl).sum == h * cl.length)
-      }
-    }
-  }
-
   test("triangle count on K5 is C(5,3)=10") {
     val k5 = Graph.fromEdges(5, for (u <- 0 until 5; v <- u + 1 until 5) yield (u, v))
     assert(Cliques.enumerate(k5, 3).length == 10)
     assert(Cliques.enumerate(k5, 4).length == 5)
     assert(Cliques.enumerate(k5, 5).length == 1)
-  }
-
-  test("subCliquesWithCompletions: every lambda+completion is an h-clique") {
-    Check.forAllGraphs(20, 3, 9) { g =>
-      val cl = Cliques.enumerate(g, 3)
-      val (lambdas, comps) = Cliques.subCliquesWithCompletions(cl)
-      val cliqueSet = cl.map(_.toSet).toSet
-      for (i <- lambdas.indices; v <- comps(i)) {
-        assert(cliqueSet.contains(lambdas(i).toSet + v))
-      }
-      // Each h-clique contributes h (lambda, completion) pairs.
-      assert(comps.map(_.length).sum == 3 * cl.length)
-      // Lambdas are exactly the distinct (h-1)-subsets of h-cliques.
-      val expected = cl.flatMap(c => c.indices.map(i => c.toSet - c(i))).toSet
-      assert(lambdas.map(_.toSet).toSet == expected)
-    }
   }
 
   test("pattern instance counts match closed-form brute force") {
@@ -81,15 +56,6 @@ class CliquesPatternsSpec extends AnyFunSuite {
         val inst = p.instances(g)
         val (_, cnts) = Pattern.groups(inst)
         assert(cnts.sum == inst.length)
-      }
-    }
-  }
-
-  test("pattern degrees sum to |V_psi| * #instances") {
-    Check.forAllGraphs(20, 3, 8) { g =>
-      for (p <- Pattern.all) {
-        val inst = p.instances(g)
-        assert(Pattern.degrees(g.n, inst).sum == p.numNodes * inst.length)
       }
     }
   }

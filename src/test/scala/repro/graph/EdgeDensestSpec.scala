@@ -1,13 +1,16 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.DensityNotion.Edge
 import repro.testkit.Check
 
 class EdgeDensestSpec extends AnyFunSuite {
 
   test("maxDensity matches brute force") {
     Check.forAllGraphs(60, 3, 9) { g =>
-      val (a, b, witness) = EdgeDensest.maxDensity(g)
+      val edges = Edge.instances(g)
+      val opt = Densest.maxDensity(g.n, edges, Array.fill(edges.length)(1L), Array.fill(g.n)(true))
+      val (a, b, witness) = (opt.num, opt.den, opt.witness)
       val (bn, bd, _) = BruteForce.allEdgeDensest(g)
       assert(a == bn && b == bd, s"got $a/$b expected $bn/$bd")
       if (g.m > 0) {
@@ -19,9 +22,9 @@ class EdgeDensestSpec extends AnyFunSuite {
 
   test("allDensest enumerates exactly the brute-force densest family") {
     Check.forAllGraphs(60, 3, 9) { g =>
-      val r = EdgeDensest.allDensest(g)
+      val r = Edge.allDensest(g, Int.MaxValue)
       val (bn, bd, all) = BruteForce.allEdgeDensest(g)
-      assert(r.densityNum == bn && r.densityDen == bd)
+      assert(r.num == bn && r.den == bd)
       assert(!r.capped)
       val got = r.all.map(_.toSet).toSet
       assert(got == all, s"got ${got.size} sets, expected ${all.size}")
@@ -31,7 +34,7 @@ class EdgeDensestSpec extends AnyFunSuite {
 
   test("maxSized equals the union of all densest subgraphs") {
     Check.forAllGraphs(40, 3, 9) { g =>
-      val r = EdgeDensest.allDensest(g)
+      val r = Edge.allDensest(g, Int.MaxValue)
       val (_, _, all) = BruteForce.allEdgeDensest(g)
       assert(r.maxSized.toSet == all.flatten)
     }
@@ -39,21 +42,21 @@ class EdgeDensestSpec extends AnyFunSuite {
 
   test("empty world: no densest subgraph (Table I convention)") {
     val g = Graph.fromEdges(4, Seq.empty)
-    val r = EdgeDensest.allDensest(g)
-    assert(r.all.isEmpty && r.maxSized.isEmpty && r.density == 0.0)
+    val r = Edge.allDensest(g, Int.MaxValue)
+    assert(r.all.isEmpty && r.maxSized.isEmpty && r.num == 0)
   }
 
   test("single edge: the two endpoints are the unique densest subgraph") {
     val g = Graph.fromEdges(4, Seq((1, 3)))
-    val r = EdgeDensest.allDensest(g)
-    assert(r.densityNum == 1 && r.densityDen == 2)
+    val r = Edge.allDensest(g, Int.MaxValue)
+    assert(r.num == 1 && r.den == 2)
     assert(r.all.map(_.toSeq) == Seq(Seq(1, 3)))
   }
 
   test("two disjoint triangles: three densest subgraphs (each and their union)") {
     val g = Graph.fromEdges(6, Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
-    val r = EdgeDensest.allDensest(g)
-    assert(r.density == 1.0)
+    val r = Edge.allDensest(g, Int.MaxValue)
+    assert(r.num == 1 && r.den == 1)
     val got = r.all.map(_.toSet).toSet
     assert(got == Set(Set(0, 1, 2), Set(3, 4, 5), Set(0, 1, 2, 3, 4, 5)))
     assert(r.maxSized.toSet == Set(0, 1, 2, 3, 4, 5))
@@ -61,19 +64,19 @@ class EdgeDensestSpec extends AnyFunSuite {
 
   test("result cap stops enumeration and reports capped") {
     val g = Graph.fromEdges(6, Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
-    val r = EdgeDensest.allDensest(g, maxResults = 2)
+    val r = Edge.allDensest(g, 2)
     assert(r.capped && r.all.size == 2)
   }
 
   test("paper Figure 1 worlds: densest families as in Table I") {
     // World G6 = {AB, BD}: densest is {A,B,D} (density 2/3).
     val g6 = Graph.fromEdges(4, Seq((0, 1), (1, 3)))
-    assert(EdgeDensest.allDensest(g6).all.map(_.toSet) == Seq(Set(0, 1, 3)))
+    assert(Edge.allDensest(g6, Int.MaxValue).all.map(_.toSet) == Seq(Set(0, 1, 3)))
     // World G8 = {AB, AC, BD}: densest is {A,B,C,D} (density 3/4).
     val g8 = Graph.fromEdges(4, Seq((0, 1), (0, 2), (1, 3)))
-    assert(EdgeDensest.allDensest(g8).all.map(_.toSet) == Seq(Set(0, 1, 2, 3)))
+    assert(Edge.allDensest(g8, Int.MaxValue).all.map(_.toSet) == Seq(Set(0, 1, 2, 3)))
     // World G4 = {BD} only: densest is {B,D}.
     val g4 = Graph.fromEdges(4, Seq((1, 3)))
-    assert(EdgeDensest.allDensest(g4).all.map(_.toSet) == Seq(Set(1, 3)))
+    assert(Edge.allDensest(g4, Int.MaxValue).all.map(_.toSet) == Seq(Set(1, 3)))
   }
 }

@@ -70,6 +70,30 @@ class EDSMetricsSpec extends AnyFunSuite {
     }
   }
 
+  test("instances whose weight rounds to 0 are ignored, not fatal") {
+    // A pendant edge with p = 1e-7 quantises to weight 0.
+    val pendant = UncertainGraph.fromEdges(4,
+      Seq((0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9), (2, 3, 1e-7)))
+    val e = EDS.edge(pendant)
+    assert(e.nodes == Set(0, 1, 2))
+    assert(math.abs(e.expectedDensity - 0.9) < 1e-6)
+    // Triangle {2,3,4}: 0.005^3 rounds to 0; its nodes 3, 4 lie in no other triangle.
+    val twoTris = UncertainGraph.fromEdges(5, Seq(
+      (0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9),
+      (2, 3, 0.005), (3, 4, 0.005), (2, 4, 0.005)))
+    val c = EDS.clique(twoTris, 3)
+    assert(c.nodes == Set(0, 1, 2))
+    assert(math.abs(c.expectedDensity - 0.729 / 3) < 1e-6)
+    // The 2-star 2-3-4 weighs 0.0005^2 = 2.5e-7, i.e. 0; node 4 lies in no other.
+    val star = UncertainGraph.fromEdges(5, Seq(
+      (0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9), (2, 3, 0.0005), (3, 4, 0.0005)))
+    val p = EDS.pattern(star, Pattern.TwoStar)
+    assert(p.nodes == Set(0, 1, 2))
+    // Every weight 0: no instance carries signal, as with no instance at all.
+    assert(EDS.clique(UncertainGraph.fromEdges(3,
+      Seq((0, 1, 0.005), (1, 2, 0.005), (0, 2, 0.005))), 3).nodes.isEmpty)
+  }
+
   test("Figure 1: max expected edge density subgraph is {A,B,C,D} at 0.375") {
     val ug = UncertainGraph.fromEdges(4, Seq((0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7)))
     val r = EDS.edge(ug)
