@@ -1,13 +1,12 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.uncertain.UncertainGraph
 
 /** Exact MPDS by exhaustive possible-world enumeration (§VI-H baseline):
-  * all 2^m worlds are partitioned across Spark tasks; each task enumerates
-  * its worlds' densest families and emits (nodeSet, Pr(world)); a Catalyst
-  * aggregation sums the exact densest subgraph probabilities τ(U).
+  * Algorithm 1's per-world functions and aggregation over all 2^m worlds
+  * (`Worlds.Enumerated`), each weighted by Pr(world) and with no cap on the
+  * densest family, give the exact densest subgraph probabilities τ(U).
   * Feasible for m <= ~24 — which is the paper's point (Table XV).
   */
 object ExactMPDS {
@@ -17,67 +16,17 @@ object ExactMPDS {
   /** DataFrame of (nodeSet, tau) with exact τ values for every node set
     * with τ > 0.
     */
-  def tauDF(spark: SparkSession, g: UncertainGraph, notion: DensityNotion): DataFrame = {
-    import spark.implicits._
-    require(g.m <= 30, s"exact enumeration needs 2^m worlds; m=${g.m} is too large")
-    val bc = spark.sparkContext.broadcast(g)
-    spark
-      .range(1L << g.m)
-      .as[Long]
-      .flatMap { mask =>
-        val ug = bc.value
-        val present = ug.worldOfMask(mask)
-        val pr = ug.worldProbability(present)
-        if (pr == 0.0) Iterator.empty
-        else {
-          val world = ug.world(present)
-          notion.allDensest(world, Int.MaxValue).all.iterator
-            .map(s => (s.mkString(","), pr))
-        }
-      }
-      .toDF("nodeSet", "pr")
-      .groupBy("nodeSet")
-      .agg(sum("pr").as("tau"))
-  }
+  def tauDF(spark: SparkSession, g: UncertainGraph, notion: DensityNotion): DataFrame =
+    MPDS.tauHatDF(MPDS.perSet(MPDS.perWorld(spark, g, Worlds.Enumerated)(MPDS.densest(notion, Int.MaxValue))),
+      Worlds.Enumerated.total).drop("freq")
 
   /** Exact top-k MPDS. */
   def topK(spark: SparkSession, g: UncertainGraph, notion: DensityNotion, k: Int): Seq[Candidate] =
-    tauDF(spark, g, notion)
-      .orderBy(desc("tau"), asc("nodeSet"))
-      .limit(k)
-      .collect()
-      .map(r => Candidate(r.getString(0).split(",").map(_.toInt).toSeq, r.getDouble(1)))
-      .toSeq
-
-  /** Exact τ(U) for a specific node set (0 if it never induces a densest
-    * subgraph).
-    */
-  def tauOf(spark: SparkSession, g: UncertainGraph, notion: DensityNotion, u: Set[Int]): Double = {
-    val key = u.toSeq.sorted.mkString(",")
-    tauDF(spark, g, notion).where(col("nodeSet") === key).collect()
-      .headOption.map(_.getDouble(1)).getOrElse(0.0)
-  }
+    MPDS.top(tauDF(spark, g, notion), k).map { case (nodes, t) => Candidate(nodes, t) }
 
   /** Exact γ(U) = Σ Pr(world) over worlds whose maximum-sized densest
     * subgraph contains U (Definition 5, via footnote 5).
     */
-  def gammaOf(spark: SparkSession, g: UncertainGraph, notion: DensityNotion, u: Set[Int]): Double = {
-    import spark.implicits._
-    require(g.m <= 30)
-    val bc = spark.sparkContext.broadcast((g, u))
-    spark
-      .range(1L << g.m)
-      .as[Long]
-      .map { mask =>
-        val (ug, uu) = bc.value
-        val present = ug.worldOfMask(mask)
-        val pr = ug.worldProbability(present)
-        if (pr == 0.0) 0.0
-        else {
-          val ms = notion.allDensest(ug.world(present), 1).maxSized.toSet
-          if (uu.nonEmpty && uu.subsetOf(ms)) pr else 0.0
-        }
-      }
-      .reduce(_ + _)
-  }
+  def gammaOf(spark: SparkSession, g: UncertainGraph, notion: DensityNotion, u: Set[Int]): Double =
+    MPDS.score(spark, g, Worlds.Enumerated, notion, Seq(u))(MPDS.contained).head
 }

@@ -1,34 +1,63 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Observation, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.uncertain.{UncertainGraph, WorldSampler}
+import repro.graph.Graph
+import repro.uncertain.{Rnd, UncertainGraph, WorldSampler}
 
 /** Algorithm 1 — sampling-based top-k MPDS estimation, as a Spark dataflow:
   *
-  *   seeds (0..θ)  →  per-world all-densest node sets (task-local flow
-  *   computation)  →  DataFrame[(world, nodeSet)]  →  groupBy(nodeSet)
-  *   count / θ  =  τ̂  →  top-k.
-  *
-  * Worlds are independent, so the sampling fan-out parallelises perfectly;
-  * the candidate aggregation is Catalyst-executed and oracle-checked.
+  *   worlds (0..θ)  →  per-world all-densest node sets (task-local flow
+  *   computation)  →  DataFrame[(world, weight, nodeSet)]  →
+  *   groupBy(nodeSet) Σ weight / θ  =  τ̂  →  top-k.
   */
 object MPDS {
 
   /** One candidate node set with its estimated densest subgraph probability. */
   final case class Candidate(nodes: Seq[Int], tauHat: Double)
 
+  /** `cappedWorlds` counts the worlds whose enumeration stopped at
+    * `capPerWorld`; when it is > 0, τ̂ and `numCandidates` may be too low.
+    */
   final case class Result(
       topK: Seq[Candidate],
       numCandidates: Long,
+      cappedWorlds: Long,
       elapsedMillis: Long,
   )
 
-  /** DataFrame of (world id, node-set string) pairs — one row per densest
-    * subgraph per sampled world (Line 5-7 of Algorithm 1). With
-    * `allPerWorld = false` only one uniformly chosen densest subgraph per
-    * world is kept (the ablation of Table IX). With `heuristic = true` the
-    * §III-C core-based subgraphs substitute for the exact densest family.
+  /** One row (world, weight, capped, sets) per world: `keys(i, world)` gives the
+    * keys of the node sets world `i` counts for, and whether a cap cut them short.
+    */
+  private[core] def perWorld(spark: SparkSession, g: UncertainGraph, worlds: Worlds)(
+      keys: (Long, Graph) => (Seq[String], Boolean)): DataFrame = {
+    import spark.implicits._
+    worlds
+      .map(spark, g) { (i, w, world) => val (sets, capped) = keys(i, world); (i, w, capped, sets.toArray) }
+      .toDF("world", "weight", "capped", "sets")
+  }
+
+  /** The keys of world `i`'s densest subgraphs (Line 5 of Algorithm 1), at most `cap`, and
+    * whether the cap was reached. `allPerWorld = false` keeps one, drawn uniformly (the
+    * ablation of Table IX); `heuristic = true` takes the §III-C core-based subgraphs instead.
+    */
+  private[core] def densest(notion: DensityNotion, cap: Int, allPerWorld: Boolean = true,
+      heuristic: Boolean = false, seed: Long = 1L)(i: Long, world: Graph): (Seq[String], Boolean) = {
+    val (sets, capped) =
+      if (heuristic) (notion.heuristicDense(world), false)
+      else { val d = notion.allDensest(world, cap); (d.all, d.capped) }
+    val chosen =
+      if (allPerWorld || sets.isEmpty) sets
+      else Seq(sets(Rnd.forWorld(seed ^ 0x5DEECE66DL, i).nextInt(sets.length)))
+    (chosen.map(s => NodeSetKey.of(s)), capped)
+  }
+
+  /** One row (world, weight, nodeSet) per node set of `perWorld` rows. */
+  private[core] def perSet(perWorld: DataFrame): DataFrame =
+    perWorld.select(col("world"), col("weight"), explode(col("sets")).as("nodeSet"))
+
+  /** DataFrame of (world, weight, nodeSet) rows — one per densest subgraph
+    * per sampled world (Line 5-7 of Algorithm 1); the options are `run`'s.
     */
   def candidateSets(
       spark: SparkSession,
@@ -40,34 +69,25 @@ object MPDS {
       allPerWorld: Boolean = true,
       heuristic: Boolean = false,
       capPerWorld: Int = 100000,
-  ): DataFrame = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g)
-    spark
-      .range(theta.toLong)
-      .as[Long]
-      .flatMap { i =>
-        val ug = bc.value
-        val world = ug.world(sampler.worldForIndex(ug, i, theta, seed))
-        val sets: Seq[Array[Int]] =
-          if (heuristic) notion.heuristicDense(world)
-          else notion.allDensest(world, capPerWorld).all
-        val chosen =
-          if (allPerWorld || sets.isEmpty) sets
-          else Seq(sets(repro.uncertain.Rnd.forWorld(seed ^ 0x5DEECE66DL, i).nextInt(sets.length)))
-        chosen.map(s => (i, s.mkString(",")))
-      }
-      .toDF("world", "nodeSet")
-  }
+  ): DataFrame =
+    perSet(perWorld(spark, g, Worlds.Sampled(theta, sampler, seed))(
+      densest(notion, capPerWorld, allPerWorld, heuristic, seed)))
 
-  /** Estimated τ̂ per candidate node set: frequency over θ worlds. */
-  def tauHatDF(candidates: DataFrame, theta: Int): DataFrame =
+  /** (nodeSet, freq, tau) per node set: `freq` counts its worlds and `tau` is their weight over
+    * `total`, the weight of all worlds (θ when sampled, where tau = τ̂ = freq / θ).
+    */
+  def tauHatDF(candidates: DataFrame, total: Double): DataFrame =
     candidates
       .groupBy("nodeSet")
-      .agg(count(lit(1)).as("freq"))
-      .withColumn("tauHat", col("freq") / lit(theta.toDouble))
+      .agg(count(lit(1)).as("freq"), sum("weight").as("mass"))
+      .select(col("nodeSet"), col("freq"), (col("mass") / lit(total)).as("tau"))
 
-  /** Full Algorithm 1: top-k node sets by τ̂. */
+  /** The `k` node sets of highest tau in `tau`, ties broken by key order. */
+  private[core] def top(tau: DataFrame, k: Int): Seq[(Seq[Int], Double)] =
+    tau.orderBy(desc("tau"), asc("nodeSet")).limit(k).collect().toSeq
+      .map(r => (NodeSetKey.parse(r.getAs[String]("nodeSet")), r.getAs[Double]("tau")))
+
+  /** Full Algorithm 1: top-k node sets by τ̂, in one Spark query. */
   def run(
       spark: SparkSession,
       g: UncertainGraph,
@@ -81,22 +101,21 @@ object MPDS {
       capPerWorld: Int = 100000,
   ): Result = {
     val t0 = System.nanoTime()
-    val cands = candidateSets(spark, g, notion, theta, sampler, seed, allPerWorld, heuristic, capPerWorld)
-    val tau = tauHatDF(cands, theta).cache()
-    val top = tau
-      .orderBy(desc("tauHat"), asc("nodeSet"))
-      .limit(k)
-      .collect()
-      .map(r => Candidate(r.getString(0).split(",").filter(_.nonEmpty).map(_.toInt).toSeq,
-        r.getDouble(2)))
-      .toSeq
-    val nCand = tau.count()
-    tau.unpersist()
-    Result(top, nCand, (System.nanoTime() - t0) / 1000000L)
+    val capped = Observation()
+    val candidates = Observation()
+    val worlds = perWorld(spark, g, Worlds.Sampled(theta, sampler, seed))(densest(notion, capPerWorld,
+      allPerWorld, heuristic, seed)).observe(capped, count_if(col("capped")).as("n"))
+    val tau = tauHatDF(perSet(worlds), theta).observe(candidates, count(lit(1)).as("n"))
+    val topK = top(tau, k).map { case (nodes, t) => Candidate(nodes, t) }
+    // With no candidate rows, adaptive execution replaces the empty stages
+    // and their observed counts never run: a missing count is 0.
+    def n(o: Observation) = o.get.getOrElse("n", 0L).asInstanceOf[Long]
+    Result(topK, n(candidates), n(capped), (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Per-world number of densest subgraphs (Table VIII): DataFrame of
-    * (world, numDensest).
+    * (world, numDensest, capped), where `capped` marks a world whose
+    * enumeration stopped at `capPerWorld`.
     */
   def worldStats(
       spark: SparkSession,
@@ -106,18 +125,23 @@ object MPDS {
       sampler: WorldSampler = WorldSampler.MonteCarlo,
       seed: Long = 1L,
       capPerWorld: Int = 100000,
-  ): DataFrame = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g)
-    spark
-      .range(theta.toLong)
-      .as[Long]
-      .map { i =>
-        val ug = bc.value
-        val world = ug.world(sampler.worldForIndex(ug, i, theta, seed))
-        (i, notion.allDensest(world, capPerWorld).all.size.toLong)
-      }
-      .toDF("world", "numDensest")
+  ): DataFrame =
+    perWorld(spark, g, Worlds.Sampled(theta, sampler, seed))(densest(notion, capPerWorld))
+      .select(col("world"), size(col("sets")).cast("long").as("numDensest"), col("capped"))
+
+  /** The weight of the worlds where `hit(world, optimum, U)` holds, over
+    * the weight of all worlds, for each U of `sets`. `optimum` is
+    * `allDensest(world, 1)`: ρ* and the maximum-sized densest subgraph.
+    */
+  private[core] def score(spark: SparkSession, g: UncertainGraph, worlds: Worlds, notion: DensityNotion,
+      sets: Seq[Set[Int]])(hit: (Graph, DensityNotion.World, Set[Int]) => Boolean): Seq[Double] = {
+    val keyed = sets.distinct.map(u => (u, NodeSetKey.of(u)))
+    val hits = perWorld(spark, g, worlds) { (_, world) =>
+      val opt = notion.allDensest(world, 1)
+      (keyed.collect { case (u, key) if hit(world, opt, u) => key }, false)
+    }
+    val tau = tauHatDF(perSet(hits), worlds.total).collect().map(r => r.getString(0) -> r.getDouble(2)).toMap
+    sets.map(u => tau.getOrElse(NodeSetKey.of(u), 0.0))
   }
 
   /** Estimate τ(U) for given node sets: the fraction of sampled worlds in
@@ -133,24 +157,11 @@ object MPDS {
       theta: Int,
       sampler: WorldSampler = WorldSampler.MonteCarlo,
       seed: Long = 1L,
-  ): Seq[Double] = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast((g, sets))
-    val hits = spark
-      .range(theta.toLong)
-      .as[Long]
-      .map { i =>
-        val (ug, ss) = bc.value
-        val world = ug.world(sampler.worldForIndex(ug, i, theta, seed))
-        val opt = notion.allDensest(world, 1) // density only; 1 witness
-        ss.map { u =>
-          val (num, den) = notion.densityOf(world, u)
-          if (num > 0 && num * opt.den == opt.num * den) 1L else 0L
-        }.toArray
-      }
-      .collect()
-    sets.indices.map(j => hits.map(_(j)).sum.toDouble / theta)
-  }
+  ): Seq[Double] =
+    score(spark, g, Worlds.Sampled(theta, sampler, seed), notion, sets) { (world, opt, u) =>
+      val (num, den) = notion.densityOf(world, u)
+      num > 0 && num * opt.den == opt.num * den
+    }
 
   /** Estimate γ(U): fraction of worlds whose maximum-sized densest subgraph
     * contains U (Tables III and XI/XII quality columns).
@@ -163,19 +174,9 @@ object MPDS {
       theta: Int,
       sampler: WorldSampler = WorldSampler.MonteCarlo,
       seed: Long = 1L,
-  ): Seq[Double] = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast((g, sets))
-    val hits = spark
-      .range(theta.toLong)
-      .as[Long]
-      .map { i =>
-        val (ug, ss) = bc.value
-        val world = ug.world(sampler.worldForIndex(ug, i, theta, seed))
-        val ms = notion.allDensest(world, 1).maxSized.toSet
-        ss.map(u => if (u.nonEmpty && u.subsetOf(ms)) 1L else 0L).toArray
-      }
-      .collect()
-    sets.indices.map(j => hits.map(_(j)).sum.toDouble / theta)
-  }
+  ): Seq[Double] = score(spark, g, Worlds.Sampled(theta, sampler, seed), notion, sets)(contained)
+
+  /** U lies in the world's maximum-sized densest subgraph (γ: Definition 5, via footnote 5). */
+  private[core] val contained: (Graph, DensityNotion.World, Set[Int]) => Boolean =
+    (_, opt, u) => u.nonEmpty && u.subsetOf(opt.maxSized.toSet)
 }

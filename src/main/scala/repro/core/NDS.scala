@@ -38,23 +38,12 @@ object NDS {
       heuristic: Boolean = false,
   ): Seq[Set[Int]] = {
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g)
-    spark
-      .range(theta.toLong)
-      .as[Long]
-      .map { i =>
-        val ug = bc.value
-        val world = ug.world(sampler.worldForIndex(ug, i, theta, seed))
-        val cand: Array[Int] =
-          if (heuristic) {
-            val subs = notion.heuristicDense(world)
-            if (subs.isEmpty) Array.empty[Int] else subs.flatten.distinct.sorted.toArray
-          } else notion.allDensest(world, 1).maxSized
-        cand.mkString(",")
+    Worlds.Sampled(theta, sampler, seed)
+      .map(spark, g) { (_, _, world) =>
+        if (heuristic) notion.heuristicDense(world).flatten.distinct.sorted.toArray
+        else notion.allDensest(world, 1).maxSized
       }
-      .collect()
-      .toSeq
-      .map(s => if (s.isEmpty) Set.empty[Int] else s.split(",").map(_.toInt).toSet)
+      .collect().toSeq.map(_.toSet)
   }
 
   /** Full Algorithm 5. */

@@ -29,7 +29,7 @@ object Harness {
   def f3(x: Double): String = f"$x%.3f"
   def secs(ms: Long): String = f"${ms / 1000.0}%.2f"
 
-  /** A local SparkSession for jobs (tests use SparkSpec's). */
+  /** The local SparkSession of jobs, benches and tests. */
   def localSpark(app: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

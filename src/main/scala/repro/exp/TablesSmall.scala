@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{DensityNotion, ExactMPDS}
+import repro.core.{DensityNotion, ExactMPDS, NodeSetKey}
 import repro.data.Datasets
 import repro.uncertain.{EDS, UncertainGraph}
 import Harness._
@@ -25,9 +25,7 @@ object TableI {
     val tau = ExactMPDS.tauDF(spark, fig1, DensityNotion.Edge)
       .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
     val eedRow = "EED" +: sets.map { case (_, s) => f(EDS.expectedEdgeDensity(fig1, s)) }
-    val dspRow = "DSP" +: sets.map { case (_, s) =>
-      f(tau.getOrElse(s.toSeq.sorted.mkString(","), 0.0))
-    }
+    val dspRow = "DSP" +: sets.map { case (_, s) => f(tau.getOrElse(NodeSetKey.of(s), 0.0)) }
     Table("Table I: EED and DSP of node sets (Figure 1 graph)",
       "metric" +: sets.map(_._1), Seq(eedRow, dspRow))
   }

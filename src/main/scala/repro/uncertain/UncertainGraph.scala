@@ -6,9 +6,7 @@ import repro.graph.Graph
 /** An uncertain graph `G = (V, E, p)` (§II): undirected simple edges with
   * independent existence probabilities in (0, 1].
   *
-  * The canonical in-task representation is three parallel arrays (compact,
-  * broadcast-friendly); `toDF`/`fromDF` bridge to the DataFrame world for
-  * the Catalyst-side aggregations of Algorithm 1.
+  * Edges are three parallel arrays: compact, and cheap to broadcast.
   */
 final case class UncertainGraph(
     n: Int,
@@ -76,10 +74,5 @@ object UncertainGraph {
     val canon = edges.map { case (u, v, p) => if (u < v) (u, v, p) else (v, u, p) }
       .distinctBy(e => (e._1, e._2))
     UncertainGraph(n, canon.map(_._1).toArray, canon.map(_._2).toArray, canon.map(_._3).toArray)
-  }
-
-  def fromDF(df: DataFrame, n: Int): UncertainGraph = {
-    val rows = df.select("src", "dst", "p").collect()
-    fromEdges(n, rows.toSeq.map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))))
   }
 }

@@ -93,6 +93,20 @@ class MPDSSpec extends SparkSpec {
     assert(tauOne.getOrElse(e01, 0.0) < 0.65)
   }
 
+  test("cappedWorlds counts the worlds whose densest family reached the cap") {
+    // Two certain disjoint edges: both and their union are densest in every world.
+    val ug = UncertainGraph.fromEdges(4, Seq((0, 1, 1.0), (2, 3, 1.0)))
+    val capped = MPDS.run(spark, ug, DensityNotion.Edge, 3, theta = 50, seed = 61L, capPerWorld = 1)
+    assert(capped.cappedWorlds == 50)
+    assert(MPDS.run(spark, fig1, DensityNotion.Edge, 3, theta = 500, seed = 67L).cappedWorlds == 0)
+  }
+
+  test("a run without candidates reports zero candidates and zero capped worlds") {
+    // Figure 1 has no triangle, so no world has a 3-clique-densest subgraph.
+    val r = MPDS.run(spark, fig1, DensityNotion.Clique(3), 3, theta = 50, seed = 71L)
+    assert(r.topK.isEmpty && r.numCandidates == 0 && r.cappedWorlds == 0)
+  }
+
   test("estimateTau scores arbitrary node sets consistently with exact values") {
     val est = MPDS.estimateTau(spark, fig1, DensityNotion.Edge,
       Seq(Set(1, 3), Set(0, 2), Set(0, 1, 2, 3)), theta = 3000, seed = 19L)
