@@ -16,18 +16,18 @@ object MPDS {
   /** One candidate node set with its estimated densest subgraph probability. */
   final case class Candidate(nodes: Seq[Int], tauHat: Double)
 
-  /** `cappedWorlds` counts the worlds whose enumeration stopped at
-    * `capPerWorld`; when it is > 0, τ̂ and `numCandidates` may be too low.
+  /** `cappedWorlds` counts the worlds with more than `capPerWorld` densest
+    * subgraphs, whose family was truncated; when it is > 0, τ̂ and
+    * `numCandidates` may be too low.
     */
   final case class Result(
       topK: Seq[Candidate],
       numCandidates: Long,
       cappedWorlds: Long,
-      elapsedMillis: Long,
   )
 
   /** One row (world, weight, capped, sets) per world: `keys(i, world)` gives the
-    * keys of the node sets world `i` counts for, and whether a cap cut them short.
+    * keys of the node sets world `i` counts for, and whether a cap truncated them.
     */
   private[core] def perWorld(spark: SparkSession, g: UncertainGraph, worlds: Worlds)(
       keys: (Long, Graph) => (Seq[String], Boolean)): DataFrame = {
@@ -38,7 +38,7 @@ object MPDS {
   }
 
   /** The keys of world `i`'s densest subgraphs (Line 5 of Algorithm 1), at most `cap`, and
-    * whether the cap was reached. `allPerWorld = false` keeps one, drawn uniformly (the
+    * whether the world has more than `cap`. `allPerWorld = false` keeps one, drawn uniformly (the
     * ablation of Table IX); `heuristic = true` takes the §III-C core-based subgraphs instead.
     */
   private[core] def densest(notion: DensityNotion, cap: Int, allPerWorld: Boolean = true,
@@ -100,7 +100,6 @@ object MPDS {
       heuristic: Boolean = false,
       capPerWorld: Int = 100000,
   ): Result = {
-    val t0 = System.nanoTime()
     val capped = Observation()
     val candidates = Observation()
     val worlds = perWorld(spark, g, Worlds.Sampled(theta, sampler, seed))(densest(notion, capPerWorld,
@@ -110,12 +109,12 @@ object MPDS {
     // With no candidate rows, adaptive execution replaces the empty stages
     // and their observed counts never run: a missing count is 0.
     def n(o: Observation) = o.get.getOrElse("n", 0L).asInstanceOf[Long]
-    Result(topK, n(candidates), n(capped), (System.nanoTime() - t0) / 1000000L)
+    Result(topK, n(candidates), n(capped))
   }
 
   /** Per-world number of densest subgraphs (Table VIII): DataFrame of
-    * (world, numDensest, capped), where `capped` marks a world whose
-    * enumeration stopped at `capPerWorld`.
+    * (world, numDensest, capped), where `capped` marks a world with more
+    * than `capPerWorld` densest subgraphs.
     */
   def worldStats(
       spark: SparkSession,

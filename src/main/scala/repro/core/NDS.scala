@@ -17,11 +17,7 @@ object NDS {
 
   final case class Nucleus(nodes: Seq[Int], gammaHat: Double)
 
-  final case class Result(
-      topK: Seq[Nucleus],
-      transactions: Seq[Set[Int]],
-      elapsedMillis: Long,
-  )
+  final case class Result(topK: Seq[Nucleus], transactions: Seq[Set[Int]])
 
   /** The per-world candidate (Line 4). With `heuristic = true`, the
     * §III-C core-based substitute: the union of the innermost core and all
@@ -58,12 +54,11 @@ object NDS {
       seed: Long = 1L,
       heuristic: Boolean = false,
   ): Result = {
-    val t0 = System.nanoTime()
     val tx = transactions(spark, g, notion, theta, sampler, seed, heuristic)
     val nonEmpty = tx.filter(_.nonEmpty)
     val top = TFP.topK(nonEmpty, k, lm).map { c =>
       Nucleus(c.items.toSeq.sorted, c.support.toDouble / theta)
     }
-    Result(top, tx, (System.nanoTime() - t0) / 1000000L)
+    Result(top, tx)
   }
 }

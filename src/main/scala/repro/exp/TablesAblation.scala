@@ -11,8 +11,8 @@ import Harness._
 /** Table VIII — distribution (mean, std, quartiles) of the number of
   * densest subgraphs per sampled world (edge / 3-clique / diamond).
   * Enumeration is capped per world (DESIGN.md): the quartiles are exact
-  * whenever below the cap; where `capped` > 0, worlds reached it and the
-  * mean is a lower bound (the heavy tail is the paper's point about LastFM).
+  * whenever at or below the cap; where `capped` > 0, worlds had more
+  * densest subgraphs than the cap and the mean is a lower bound (the heavy tail is the paper's point about LastFM).
   */
 object TableVIII {
   val Cap = 4096

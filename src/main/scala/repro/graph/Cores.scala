@@ -92,35 +92,58 @@ object HyperPeeling {
     }
   }
 
-  /** Peel all `n` nodes against `instances` (node-id sets, ids < n). */
+  /** Peel all `n` nodes against `instances` (node-id sets, ids < n). Each
+    * step removes the node of least current degree, the least id among
+    * equals.
+    */
   def peel(n: Int, instances: Array[Array[Int]]): PeelResult = {
     val nInst = instances.length
     val deg = new Array[Int](n)
-    val instByNode = {
-      val builders = Array.fill(n)(mutable.ArrayBuilder.make[Int])
-      var i = 0
-      while (i < nInst) {
-        for (v <- instances(i)) { builders(v) += i; deg(v) += 1 }
-        i += 1
-      }
-      builders.map(_.result())
+    var i = 0
+    while (i < nInst) {
+      val s = instances(i); var j = 0
+      while (j < s.length) { deg(s(j)) += 1; j += 1 }
+      i += 1
+    }
+    // Node → instance incidence: the instances of v are
+    // incident(start(v) until start(v + 1)), in instance order.
+    val start = new Array[Int](n + 1)
+    var v = 0
+    while (v < n) { start(v + 1) = start(v) + deg(v); v += 1 }
+    val incident = new Array[Int](start(n))
+    val fill = java.util.Arrays.copyOf(start, n)
+    i = 0
+    while (i < nInst) {
+      val s = instances(i); var j = 0
+      while (j < s.length) { incident(fill(s(j))) = i; fill(s(j)) += 1; j += 1 }
+      i += 1
     }
     val alive = Array.fill(nInst)(true)
     val removed = new Array[Boolean](n)
     val order = new Array[Int](n)
     val coreNumber = new Array[Int](n)
     val suffix = new Array[Long](n)
-    // Lazy-deletion priority queue keyed by current instance degree.
-    val pq = new java.util.PriorityQueue[Long](math.max(1, n))
-    for (v <- 0 until n) pq.add(deg(v).toLong << 32 | v)
     var live = nInst.toLong
-    var core = 0
     var k = 0
+    // Nodes of degree 0 come first, in id order, and never change.
+    v = 0
+    while (v < n) {
+      if (deg(v) == 0) { suffix(k) = live; removed(v) = true; order(k) = v; k += 1 }
+      v += 1
+    }
+    // The rest by key deg << 32 | v. Degrees only fall, so a node's entry
+    // is current iff its degree still equals the key's; stale ones are
+    // skipped when they surface. At most one push per incidence.
+    val heap = new LongHeap(n - k + incident.length)
+    v = 0
+    while (v < n) { if (deg(v) > 0) heap.add(deg(v).toLong << 32 | v); v += 1 }
+    heap.heapify()
+    var core = 0
     while (k < n) {
-      var v = -1
+      v = -1
       while (v < 0) {
-        val top = pq.poll()
-        val cand = (top & 0xffffffffL).toInt
+        val top = heap.poll()
+        val cand = top.toInt
         if (!removed(cand) && (top >>> 32) == deg(cand)) v = cand
       }
       suffix(k) = live
@@ -128,15 +151,67 @@ object HyperPeeling {
       coreNumber(v) = core
       removed(v) = true
       order(k) = v; k += 1
-      for (i <- instByNode(v); if alive(i)) {
-        alive(i) = false
-        live -= 1
-        for (w <- instances(i); if !removed(w)) {
-          deg(w) -= 1
-          pq.add(deg(w).toLong << 32 | w)
+      var c = start(v)
+      while (c < start(v + 1)) {
+        val i = incident(c)
+        if (alive(i)) {
+          alive(i) = false
+          live -= 1
+          val s = instances(i); var j = 0
+          while (j < s.length) {
+            val w = s(j)
+            if (!removed(w)) { deg(w) -= 1; heap.push(deg(w).toLong << 32 | w) }
+            j += 1
+          }
         }
+        c += 1
       }
     }
     PeelResult(n, order, coreNumber, suffix)
+  }
+
+  /** Binary min-heap of primitive longs with a fixed capacity. */
+  private final class LongHeap(capacity: Int) {
+    private val a = new Array[Long](capacity)
+    private var size = 0
+
+    /** Append without ordering; call [[heapify]] before the first poll. */
+    def add(x: Long): Unit = { a(size) = x; size += 1 }
+
+    def heapify(): Unit = {
+      var k = (size >>> 1) - 1
+      while (k >= 0) { siftDown(k, a(k)); k -= 1 }
+    }
+
+    def push(x: Long): Unit = {
+      var k = size
+      size += 1
+      var done = false
+      while (k > 0 && !done) {
+        val p = (k - 1) >>> 1
+        if (a(p) <= x) done = true
+        else { a(k) = a(p); k = p }
+      }
+      a(k) = x
+    }
+
+    def poll(): Long = {
+      val top = a(0)
+      size -= 1
+      if (size > 0) siftDown(0, a(size))
+      top
+    }
+
+    private def siftDown(k0: Int, x: Long): Unit = {
+      var k = k0
+      var done = false
+      while (!done && 2 * k + 1 < size) {
+        var c = 2 * k + 1
+        if (c + 1 < size && a(c + 1) < a(c)) c += 1
+        if (x <= a(c)) done = true
+        else { a(k) = a(c); k = c }
+      }
+      a(k) = x
+    }
   }
 }

@@ -12,7 +12,8 @@ object DensestEnum {
   /** Result of an all-densest enumeration.
     *
     * @param all       node-id sets of all densest subgraphs (may be capped)
-    * @param capped    true iff `maxResults` stopped the enumeration early
+    * @param capped    true iff a densest subgraph beyond the first
+    *                  `maxResults` exists, so `all` is truncated
     * @param maxSized  the maximum-sized densest subgraph = union of all
     *                  densest subgraphs ([58]; Algorithm 5 line 4)
     */
@@ -22,8 +23,9 @@ object DensestEnum {
     * @param s, t      source / sink network-node ids
     * @param vNodeOf   for a network node id, the graph node id if it is a
     *                  V-node, else -1 (instance-group nodes)
-    * @param maxResults stop after this many subgraphs (enumeration count can
-    *                  be exponential — Table VIII measures exactly this)
+    * @param maxResults keep at most this many subgraphs, and stop at the
+    *                  next one (enumeration count can be exponential —
+    *                  Table VIII measures exactly this)
     */
   def enumerate(
       residual: Array[Array[Int]],
@@ -72,11 +74,13 @@ object DensestEnum {
     var capped = false
 
     def emit(closure: java.util.BitSet): Unit = {
-      val b = mutable.ArrayBuilder.make[Int]
-      var c = closure.nextSetBit(0)
-      while (c >= 0) { b ++= compV(c); c = closure.nextSetBit(c + 1) }
-      results += b.result().sorted
       if (results.length >= maxResults) capped = true
+      else {
+        val b = mutable.ArrayBuilder.make[Int]
+        var c = closure.nextSetBit(0)
+        while (c >= 0) { b ++= compV(c); c = closure.nextSetBit(c + 1) }
+        results += b.result().sorted
+      }
     }
 
     // Algorithm 3. `c1Closure` maintains C1 ∪ des(C1); candidates are only

@@ -103,11 +103,17 @@ object Graph {
     fromCanonicalEdges(n, bu.result(), bv.result())
   }
 
-  private[graph] def fromCanonicalEdges(n: Int, eu: Array[Int], ev: Array[Int]): Graph = {
+  /** Build from edges that are already canonical (`u < v`) and distinct,
+    * kept in the given order.
+    */
+  private[repro] def fromCanonicalEdges(n: Int, eu: Array[Int], ev: Array[Int]): Graph = {
     val deg = new Array[Int](n)
     var i = 0
     while (i < eu.length) { deg(eu(i)) += 1; deg(ev(i)) += 1; i += 1 }
-    val adj = Array.tabulate(n)(v => new Array[Int](deg(v)))
+    val adj = new Array[Array[Int]](n)
+    val none = new Array[Int](0)
+    var v = 0
+    while (v < n) { adj(v) = if (deg(v) == 0) none else new Array[Int](deg(v)); v += 1 }
     val fill = new Array[Int](n)
     i = 0
     while (i < eu.length) {
@@ -116,8 +122,8 @@ object Graph {
       adj(v)(fill(v)) = u; fill(v) += 1
       i += 1
     }
-    var v = 0
-    while (v < n) { java.util.Arrays.sort(adj(v)); v += 1 }
+    v = 0
+    while (v < n) { if (deg(v) > 1) java.util.Arrays.sort(adj(v)); v += 1 }
     new Graph(n, eu, ev, adj)
   }
 }

@@ -1,7 +1,5 @@
 package repro.uncertain
 
-import scala.util.Random
-
 /** Possible-world samplers (§III-A remark 2, §VI-G): Monte Carlo, a
   * Lazy-Propagation-style sampler [53], and Recursive-Stratified-style
   * sampling [54]. All three draw worlds from the same distribution (MC and
@@ -31,7 +29,11 @@ object WorldSampler {
     val name = "MC"
     def worldForIndex(g: UncertainGraph, i: Long, theta: Int, seed: Long): Array[Boolean] = {
       val rnd = Rnd.forWorld(seed, i)
-      Array.tabulate(g.m)(e => rnd.nextDouble() < g.prob(e))
+      val p = g.prob
+      val mask = new Array[Boolean](p.length)
+      var e = 0
+      while (e < p.length) { mask(e) = rnd.nextDouble() < p(e); e += 1 }
+      mask
     }
     def auxiliaryBytes(g: UncertainGraph, theta: Int): Long = 0L
   }
@@ -47,11 +49,9 @@ object WorldSampler {
     def worldForIndex(g: UncertainGraph, i: Long, theta: Int, seed: Long): Array[Boolean] = {
       if (visits.get == null || visits.get.length != g.m) visits.set(new Array[Long](g.m))
       val counters = visits.get
-      val rnd = Rnd.forWorld(seed, i)
-      Array.tabulate(g.m) { e =>
-        counters(e) += 1
-        rnd.nextDouble() < g.prob(e)
-      }
+      var e = 0
+      while (e < counters.length) { counters(e) += 1; e += 1 }
+      MonteCarlo.worldForIndex(g, i, theta, seed)
     }
     def auxiliaryBytes(g: UncertainGraph, theta: Int): Long = 8L * g.m
   }
@@ -66,12 +66,30 @@ object WorldSampler {
   final case class RecursiveStratified(r: Int = 4) extends WorldSampler {
     val name = "RSS"
 
-    private def strataEdges(g: UncertainGraph): Array[Int] =
-      (0 until g.m).sortBy(e => math.abs(g.prob(e) - 0.5)).take(math.min(r, g.m)).toArray
+    /** The `r` edges of smallest |p − ½|, ties to the lower index, in that
+      * order: one pass that keeps the best `r` seen so far sorted.
+      */
+    private[uncertain] def strataEdges(g: UncertainGraph): Array[Int] = {
+      val k = math.min(r, g.m)
+      val es = new Array[Int](k)
+      val dist = new Array[Double](k)
+      var size = 0
+      var e = 0
+      while (e < g.m) {
+        val d = math.abs(g.prob(e) - 0.5)
+        if (size < k || (k > 0 && d < dist(k - 1))) {
+          var j = math.min(size, k - 1)
+          while (j > 0 && dist(j - 1) > d) { es(j) = es(j - 1); dist(j) = dist(j - 1); j -= 1 }
+          es(j) = e; dist(j) = d
+          if (size < k) size += 1
+        }
+        e += 1
+      }
+      es
+    }
 
     /** Stratum of sample index i under proportional allocation. */
-    private def stratumOf(g: UncertainGraph, i: Long, theta: Int): (Array[Int], Long) = {
-      val es = strataEdges(g)
+    private def stratumOf(g: UncertainGraph, es: Array[Int], i: Long, theta: Int): Long = {
       val k = es.length
       val nStrata = 1 << k
       // Cumulative allocation by stratum probability; sample i falls in the
@@ -84,17 +102,27 @@ object WorldSampler {
         for (j <- 0 until k)
           pr *= (if ((s & (1 << j)) != 0) g.prob(es(j)) else 1.0 - g.prob(es(j)))
         acc += pr
-        if (x < acc) return (es, s.toLong)
+        if (x < acc) return s.toLong
         s += 1
       }
-      (es, (nStrata - 1).toLong)
+      (nStrata - 1).toLong
     }
 
     def worldForIndex(g: UncertainGraph, i: Long, theta: Int, seed: Long): Array[Boolean] = {
-      val (es, s) = stratumOf(g, i, theta)
-      val fixed = es.zipWithIndex.map { case (e, j) => e -> ((s & (1L << j)) != 0) }.toMap
+      val es = strataEdges(g)
+      val s = stratumOf(g, es, i, theta)
+      val fixed = new Array[Boolean](g.m)
+      for (e <- es) fixed(e) = true
       val rnd = Rnd.forWorld(seed, i)
-      Array.tabulate(g.m)(e => fixed.getOrElse(e, rnd.nextDouble() < g.prob(e)))
+      val p = g.prob
+      val mask = new Array[Boolean](p.length)
+      var e = 0
+      while (e < p.length) {
+        if (!fixed(e)) mask(e) = rnd.nextDouble() < p(e)
+        e += 1
+      }
+      for (j <- es.indices) mask(es(j)) = (s & (1L << j)) != 0
+      mask
     }
 
     def auxiliaryBytes(g: UncertainGraph, theta: Int): Long = {

@@ -6,7 +6,9 @@ import repro.graph.Graph
 /** An uncertain graph `G = (V, E, p)` (§II): undirected simple edges with
   * independent existence probabilities in (0, 1].
   *
-  * Edges are three parallel arrays: compact, and cheap to broadcast.
+  * Edges are three parallel arrays: compact, and cheap to broadcast. Each
+  * edge is canonical (`u < v`, both `< n`) and no edge repeats, so a world
+  * is built straight from the present edges, in edge order.
   */
 final case class UncertainGraph(
     n: Int,
@@ -16,17 +18,41 @@ final case class UncertainGraph(
 ) extends Serializable {
   require(edgeU.length == edgeV.length && edgeU.length == prob.length)
   require(prob.forall(p => p > 0.0 && p <= 1.0), "edge probabilities must lie in (0, 1]")
+  require(canonicalAndDistinct, "edges must be canonical (0 <= u < v < n) and distinct")
+
+  private def canonicalAndDistinct: Boolean = {
+    val keys = new Array[Long](edgeU.length)
+    var i = 0
+    while (i < keys.length) {
+      if (edgeU(i) < 0 || edgeU(i) >= edgeV(i) || edgeV(i) >= n) return false
+      keys(i) = edgeU(i).toLong << 32 | edgeV(i)
+      i += 1
+    }
+    java.util.Arrays.sort(keys)
+    i = 1
+    while (i < keys.length && keys(i - 1) != keys(i)) i += 1
+    i >= keys.length
+  }
 
   def m: Int = edgeU.length
 
   /** The deterministic version of the graph (all edges present). */
-  lazy val deterministic: Graph =
-    Graph.fromEdges(n, edgeU.indices.map(i => (edgeU(i), edgeV(i))))
+  lazy val deterministic: Graph = Graph.fromCanonicalEdges(n, edgeU, edgeV)
 
   /** Possible world from an edge-presence mask. */
   def world(present: Array[Boolean]): Graph = {
-    val es = for (i <- 0 until m; if present(i)) yield (edgeU(i), edgeV(i))
-    Graph.fromEdges(n, es)
+    var k = 0
+    var i = 0
+    while (i < m) { if (present(i)) k += 1; i += 1 }
+    val eu = new Array[Int](k)
+    val ev = new Array[Int](k)
+    k = 0
+    i = 0
+    while (i < m) {
+      if (present(i)) { eu(k) = edgeU(i); ev(k) = edgeV(i); k += 1 }
+      i += 1
+    }
+    Graph.fromCanonicalEdges(n, eu, ev)
   }
 
   /** Pr(G) of a possible world (Equation 1). */
@@ -70,8 +96,11 @@ final case class UncertainGraph(
 
 object UncertainGraph {
 
+  /** Canonicalises each edge to `u < v`, drops self-loops and keeps the
+    * first of repeated edges.
+    */
   def fromEdges(n: Int, edges: Seq[(Int, Int, Double)]): UncertainGraph = {
-    val canon = edges.map { case (u, v, p) => if (u < v) (u, v, p) else (v, u, p) }
+    val canon = edges.collect { case (u, v, p) if u != v => if (u < v) (u, v, p) else (v, u, p) }
       .distinctBy(e => (e._1, e._2))
     UncertainGraph(n, canon.map(_._1).toArray, canon.map(_._2).toArray, canon.map(_._3).toArray)
   }

@@ -101,6 +101,14 @@ class MPDSSpec extends SparkSpec {
     assert(MPDS.run(spark, fig1, DensityNotion.Edge, 3, theta = 500, seed = 67L).cappedWorlds == 0)
   }
 
+  test("a world with exactly capPerWorld densest subgraphs is not capped") {
+    val single = UncertainGraph.fromEdges(2, Seq((0, 1, 1.0)))
+    assert(MPDS.run(spark, single, DensityNotion.Edge, 3, theta = 20, seed = 73L, capPerWorld = 1).cappedWorlds == 0)
+    val twoEdges = UncertainGraph.fromEdges(4, Seq((0, 1, 1.0), (2, 3, 1.0)))
+    assert(MPDS.run(spark, twoEdges, DensityNotion.Edge, 3, theta = 20, seed = 79L, capPerWorld = 3).cappedWorlds == 0)
+    assert(MPDS.run(spark, twoEdges, DensityNotion.Edge, 3, theta = 20, seed = 79L, capPerWorld = 2).cappedWorlds == 20)
+  }
+
   test("a run without candidates reports zero candidates and zero capped worlds") {
     // Figure 1 has no triangle, so no world has a 3-clique-densest subgraph.
     val r = MPDS.run(spark, fig1, DensityNotion.Clique(3), 3, theta = 50, seed = 71L)

@@ -68,6 +68,18 @@ class EdgeDensestSpec extends AnyFunSuite {
     assert(r.capped && r.all.size == 2)
   }
 
+  test("capped means truncated: a family of exactly cap sets is not capped") {
+    val single = Graph.fromEdges(2, Seq((0, 1)))
+    val one = Edge.allDensest(single, 1)
+    assert(!one.capped && one.all.size == 1)
+    // Two disjoint triangles have three densest subgraphs.
+    val g = Graph.fromEdges(6, Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    val exact = Edge.allDensest(g, 3)
+    assert(!exact.capped && exact.all.size == 3)
+    val over = Edge.allDensest(g, 2)
+    assert(over.capped && over.all.map(_.toSeq) == exact.all.take(2).map(_.toSeq))
+  }
+
   test("paper Figure 1 worlds: densest families as in Table I") {
     // World G6 = {AB, BD}: densest is {A,B,D} (density 2/3).
     val g6 = Graph.fromEdges(4, Seq((0, 1), (1, 3)))

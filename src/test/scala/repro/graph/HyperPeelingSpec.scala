@@ -74,6 +74,44 @@ class HyperPeelingSpec extends AnyFunSuite {
     }
   }
 
+  /** O(n²) reference: each step removes the live node of least current
+    * degree, the least id among equals.
+    */
+  private def referencePeel(n: Int, inst: Array[Array[Int]]): (Seq[Int], Seq[Int], Seq[Long]) = {
+    val alive = Array.fill(inst.length)(true)
+    val removed = new Array[Boolean](n)
+    def deg(v: Int) = inst.indices.count(i => alive(i) && inst(i).contains(v))
+    var core = 0
+    val coreNumber = new Array[Int](n)
+    val steps = for (_ <- 0 until n) yield {
+      val v = (0 until n).filterNot(removed).minBy(v => (deg(v), v))
+      val live = alive.count(identity).toLong
+      core = math.max(core, deg(v))
+      coreNumber(v) = core
+      removed(v) = true
+      for (i <- inst.indices; if inst(i).contains(v)) alive(i) = false
+      (v, live)
+    }
+    (steps.map(_._1), coreNumber.toSeq, steps.map(_._2))
+  }
+
+  test("peel order is least current degree, then least id (edges and 3-cliques, isolated nodes)") {
+    val rnd = new scala.util.Random(41)
+    Check.forAllGraphs(40, 3, 10) { g0 =>
+      // Spread the nodes over a larger id range, so that isolated nodes sit between them.
+      val n = g0.n + 1 + rnd.nextInt(5)
+      val id = rnd.shuffle((0 until n).toList).take(g0.n).toArray
+      val g = Graph.fromEdges(n, (0 until g0.m).map(e => (id(g0.edgeU(e)), id(g0.edgeV(e)))))
+      for (inst <- Seq(edgeInstances(g), Cliques.enumerate(g, 3))) {
+        val pr = HyperPeeling.peel(g.n, inst)
+        val (order, coreNumber, suffix) = referencePeel(g.n, inst)
+        assert(pr.order.toSeq == order)
+        assert(pr.coreNumber.toSeq == coreNumber)
+        assert(pr.suffixInstances.toSeq == suffix)
+      }
+    }
+  }
+
   test("empty instance list: all core numbers zero, density zero") {
     val pr = HyperPeeling.peel(5, Array.empty)
     assert(pr.kMax == 0 && pr.bestDensity == ((0L, 1L)))

@@ -42,6 +42,19 @@ class SamplingSpec extends AnyFunSuite {
       assert(math.abs(freqs(e) - g.prob(e)) < 0.01, s"stratified edge $e")
   }
 
+  test("RSS strata edges are the r of least |p - 1/2|, ties to the lower index") {
+    // Exact ties: |0.25 - 0.5| == |0.75 - 0.5| and repeated probabilities.
+    val ps = Seq(0.75, 0.5, 0.25, 0.875, 0.5, 0.125, 0.25, 1.0, 0.75, 0.625, 0.375, 0.625)
+    val tied = UncertainGraph.fromEdges(ps.length + 1, ps.indices.map(e => (e, e + 1, ps(e))))
+    val rnd = new scala.util.Random(3L)
+    val random = UncertainGraph.fromEdges(40, (0 until 39).map(u =>
+      (u, u + 1 + rnd.nextInt(39 - u), Seq(0.125, 0.25, 0.5, 0.75, 0.875, 1.0)(rnd.nextInt(6)))))
+    for (ug <- Seq(tied, random, g); r <- 0 to ug.m + 1) {
+      val want = (0 until ug.m).sortBy(e => math.abs(ug.prob(e) - 0.5)).take(math.min(r, ug.m))
+      assert(WorldSampler.RecursiveStratified(r).strataEdges(ug).toSeq == want, s"r=$r")
+    }
+  }
+
   test("LP reports counter memory, RSS reports strata memory, MC none") {
     assert(WorldSampler.MonteCarlo.auxiliaryBytes(g, 100) == 0L)
     assert(WorldSampler.LazyPropagation.auxiliaryBytes(g, 100) == 8L * g.m)

@@ -57,6 +57,38 @@ class UncertainGraphSpec extends AnyFunSuite {
     assert(g.edgeU(0) == 0 && g.edgeV(0) == 2 && g.prob(0) == 0.5)
   }
 
+  test("fromEdges drops self-loops") {
+    val g = UncertainGraph.fromEdges(3, Seq((1, 1, 0.5), (0, 2, 0.9)))
+    assert(g.m == 1 && g.edgeU(0) == 0 && g.edgeV(0) == 2)
+  }
+
+  test("the constructor rejects reversed, duplicate and out-of-range edges") {
+    intercept[IllegalArgumentException](UncertainGraph(3, Array(1), Array(0), Array(0.5)))
+    intercept[IllegalArgumentException](UncertainGraph(3, Array(1), Array(1), Array(0.5)))
+    intercept[IllegalArgumentException](UncertainGraph(3, Array(0, 1, 0), Array(1, 2, 1), Array(0.5, 0.5, 0.5)))
+    intercept[IllegalArgumentException](UncertainGraph(3, Array(0), Array(3), Array(0.5)))
+    intercept[IllegalArgumentException](UncertainGraph(3, Array(-1), Array(2), Array(0.5)))
+  }
+
+  test("world(mask) equals Graph.fromEdges of the present pairs") {
+    val rnd = new Random(11)
+    for (_ <- 0 until 40) {
+      val det = Check.randomGraph(rnd, 2, 12)
+      // Edges in a shuffled order, so that the world keeps that order.
+      val perm = rnd.shuffle((0 until det.m).toList).toArray
+      val ug = UncertainGraph(det.n, perm.map(det.edgeU), perm.map(det.edgeV), Check.randomProbs(rnd, det.m))
+      val masks = Array.fill(ug.m)(true) +: Seq.fill(5)(Array.fill(ug.m)(rnd.nextBoolean()))
+      for (mask <- masks) {
+        val want = repro.graph.Graph.fromEdges(ug.n, (0 until ug.m).filter(mask(_)).map(e => (ug.edgeU(e), ug.edgeV(e))))
+        val got = ug.world(mask)
+        assert(got.n == want.n && got.edgeU.sameElements(want.edgeU) && got.edgeV.sameElements(want.edgeV))
+        assert((0 until ug.n).forall(v => got.adj(v).sameElements(want.adj(v))))
+      }
+      val d = ug.deterministic
+      assert(d.edgeU.sameElements(ug.edgeU) && d.edgeV.sameElements(ug.edgeV))
+    }
+  }
+
   test("inducedEdges restricts to the node set") {
     val g = fig1
     assert(g.inducedEdges(Set(0, 1, 2)).toSet == Set((0, 1, 0.4), (0, 2, 0.4)))
