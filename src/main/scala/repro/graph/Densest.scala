@@ -61,7 +61,7 @@ object Densest {
 
     // Lines 5-8: residual SCCs of the flow at ρ*, then Algorithm 3.
     val vOf = (id: Int) => if (id >= 2 && id < opt.nodes.length + 2) opt.nodes(id - 2) else -1
-    val e = DensestEnum.enumerate(opt.net.residualAdjacency, 0, 1, vOf, cap)
+    val e = DensestEnum.enumerate(opt.net, 0, 1, vOf, cap)
     World(e.all, e.capped, e.maxSized, opt.num, opt.den)
   }
 
@@ -81,26 +81,33 @@ object Densest {
     for (i <- nodes.indices) id(nodes(i)) = i + 2
     val total = weights.sum
 
-    def network(a: Long, b: Long): FlowNetwork = {
-      val net = new FlowNetwork(nodes.length + 2 + (if (q == 2) 0 else sets.length))
-      for (v <- nodes) {
-        net.addArc(0, id(v), deg(v) * b)
-        net.addArc(id(v), 1, q * a)
-      }
-      for (gi <- sets.indices) {
-        val w = weights(gi) * b
-        val s = sets(gi)
-        if (q == 2) net.addArcPair(id(s(0)), id(s(1)), w, w)
-        else {
-          val gid = nodes.length + 2 + gi
-          for (v <- s) {
-            net.addArc(id(v), gid, w)
-            net.addArc(gid, id(v), w * (q - 1))
-          }
+    // Algorithm 7's network, built once: only its capacities depend on the
+    // guess a/b. Every arc carries coefficient·b, except v→t's q·a.
+    val pairs = 2 * nodes.length + (if (q == 2) sets.length else 2 * q.toInt * sets.length)
+    val ends = new Array[Int](2 * pairs)
+    val capB = new Array[Long](2 * pairs)
+    val capA = new Array[Long](2 * pairs)
+    var k = 0
+    def pair(u: Int, v: Int, b: Long, a: Long, revB: Long): Unit = {
+      ends(k) = u; ends(k + 1) = v; capB(k) = b; capA(k) = a; capB(k + 1) = revB; k += 2
+    }
+    for (v <- nodes) {
+      pair(0, id(v), deg(v), 0L, 0L)
+      pair(id(v), 1, 0L, q, 0L)
+    }
+    for (gi <- sets.indices) {
+      val w = weights(gi)
+      val s = sets(gi)
+      if (q == 2) pair(id(s(0)), id(s(1)), w, 0L, w)
+      else {
+        val gid = nodes.length + 2 + gi
+        for (v <- s) {
+          pair(id(v), gid, w, 0L, 0L)
+          pair(gid, id(v), w * (q - 1), 0L, 0L)
         }
       }
-      net
     }
+    val net = new FlowNetwork(nodes.length + 2 + (if (q == 2) 0 else sets.length), ends, capB, capA)
 
     def weightInside(mask: Array[Boolean]): Long = {
       var c = 0L
@@ -110,7 +117,7 @@ object Densest {
 
     @tailrec def iterate(best: Array[Boolean], a: Long, b: Long): Optimum = {
       val gg = gcd(a, b)
-      val net = network(a / gg, b / gg)
+      net.setCapacities(a / gg, b / gg)
       if (net.maxFlow(0, 1) >= q * total * (b / gg)) Optimum(a / gg, b / gg, best, net, nodes)
       else {
         val cut = net.minCutSourceSide(0)

@@ -19,7 +19,8 @@ object DensestEnum {
     */
   final case class Enumerated(all: Seq[Array[Int]], capped: Boolean, maxSized: Array[Int])
 
-  /** @param residual  residual adjacency of the flow network (positive arcs)
+  /** @param net       the flow network under a maximum flow; its arcs of
+    *                  positive residual capacity form the residual graph
     * @param s, t      source / sink network-node ids
     * @param vNodeOf   for a network node id, the graph node id if it is a
     *                  V-node, else -1 (instance-group nodes)
@@ -28,13 +29,13 @@ object DensestEnum {
     *                  Table VIII measures exactly this)
     */
   def enumerate(
-      residual: Array[Array[Int]],
+      net: FlowNetwork,
       s: Int,
       t: Int,
       vNodeOf: Int => Int,
       maxResults: Int,
   ): Enumerated = {
-    val (comp, nComp) = SCC.components(residual)
+    val (comp, nComp) = SCC.components(net)
     val trivial = Set(comp(s), comp(t))
 
     // Re-index non-trivial components densely.
@@ -45,7 +46,7 @@ object DensestEnum {
 
     // V-node members per non-trivial component.
     val vNodes = Array.fill(k)(mutable.ArrayBuilder.make[Int])
-    for (u <- residual.indices; if newId(comp(u)) >= 0) {
+    for (u <- 0 until net.numNodes; if newId(comp(u)) >= 0) {
       val g = vNodeOf(u)
       if (g >= 0) vNodes(newId(comp(u))) += g
     }
@@ -54,8 +55,8 @@ object DensestEnum {
     // Condensation restricted to non-trivial components (Definition 9
     // defines des/anc over non-trivial components only).
     val dagOut = Array.fill(k)(mutable.HashSet.empty[Int])
-    for (u <- residual.indices; v <- residual(u)) {
-      val cu = newId(comp(u)); val cv = newId(comp(v))
+    for (u <- 0 until net.numNodes; p <- net.start(u) until net.start(u + 1); if net.cap(p) > 0) {
+      val cu = newId(comp(u)); val cv = newId(comp(net.head(p)))
       if (cu >= 0 && cv >= 0 && cu != cv) dagOut(cu) += cv
     }
     val dag = dagOut.map(_.toArray)

@@ -51,9 +51,6 @@ final class Graph private (
     inducedSubgraph(keep)
   }
 
-  /** Nodes with degree > 0 plus none — i.e. ids appearing in some edge. */
-  def nonIsolated: Array[Int] = (0 until n).filter(degree(_) > 0).toArray
-
   /** Degeneracy ordering (smallest-degree-first peeling); returns the order
     * and each node's position in it. Used to orient clique enumeration.
     */

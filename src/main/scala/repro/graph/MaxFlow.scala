@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Dinic's maximum-flow on integer (Long) capacities.
   *
   * This is the flow substrate behind Goldberg's densest-subgraph algorithm
@@ -9,82 +7,96 @@ import scala.collection.mutable
   * network capacities in this repo are scaled to integers (densities are
   * rationals `a/b`; capacities are multiplied by `b`), so the computed flow
   * and min cut are exact.
+  *
+  * The arcs are fixed at construction, in residual pairs: pair k runs from
+  * `ends(2k)` to `ends(2k + 1)`, and its forward and reverse arcs take their
+  * capacity coefficients from indices 2k and 2k + 1 of `capB` and `capA`.
+  * They are stored as CSR: node u's arcs are `start(u) until start(u + 1)`,
+  * in the order given, and arc p ends at `head(p)`. Only the capacities
+  * change, so one network serves every Dinkelbach guess α = a/b.
   */
-final class FlowNetwork(val numNodes: Int) {
-  /** Arc heads; arc i's reverse arc is i ^ 1. */
-  private val headB = mutable.ArrayBuilder.make[Int]
-  private val capB = mutable.ArrayBuilder.make[Long]
-  private val adjList = Array.fill(numNodes)(mutable.ArrayBuilder.make[Int])
-  private var arcCount = 0
+final class FlowNetwork(val numNodes: Int, ends: Array[Int], capB: Array[Long], capA: Array[Long]) {
+  require(ends.length % 2 == 0 && capB.length == ends.length && capA.length == ends.length)
 
-  var head: Array[Int] = _
-  var cap: Array[Long] = _
-  var adjIdx: Array[Array[Int]] = _
+  val start: Array[Int] = new Array[Int](numNodes + 1)
+  val head: Array[Int] = new Array[Int](ends.length)
+  /** Residual capacity per arc: after `maxFlow`, the arcs with `cap > 0`. */
+  val cap: Array[Long] = new Array[Long](ends.length)
+  private val rev = new Array[Int](ends.length)
+  private val coefB = new Array[Long](ends.length)
+  private val coefA = new Array[Long](ends.length)
 
-  /** Add a directed arc u->v with capacity c (reverse arc capacity 0). */
-  def addArc(u: Int, v: Int, c: Long): Unit = addArcPair(u, v, c, 0L)
-
-  /** Add arcs u->v (capacity c) and v->u (capacity cRev) as a residual pair. */
-  def addArcPair(u: Int, v: Int, c: Long, cRev: Long): Unit = {
-    headB += v; capB += c; adjList(u) += arcCount; arcCount += 1
-    headB += u; capB += cRev; adjList(v) += arcCount; arcCount += 1
+  locally {
+    for (u <- ends) start(u + 1) += 1
+    for (u <- 0 until numNodes) start(u + 1) += start(u)
+    // pos(i): input arc i's CSR position, filled per node in input order.
+    val fill = start.clone()
+    val pos = ends.map { u => fill(u) += 1; fill(u) - 1 }
+    for (i <- ends.indices) {
+      val p = pos(i)
+      head(p) = ends(i ^ 1); rev(p) = pos(i ^ 1); coefB(p) = capB(i); coefA(p) = capA(i)
+    }
   }
 
-  private def freeze(): Unit = if (head == null) {
-    head = headB.result(); cap = capB.result()
-    adjIdx = adjList.map(_.result())
+  /** Set every capacity to `capB·b + capA·a`, discarding any flow. */
+  def setCapacities(a: Long, b: Long): Unit = {
+    var p = 0
+    while (p < cap.length) { cap(p) = coefB(p) * b + coefA(p) * a; p += 1 }
+  }
+
+  /** BFS levels from s over arcs of positive residual capacity; -1 where
+    * unreachable.
+    */
+  private def levels(s: Int): Array[Int] = {
+    val level = new Array[Int](numNodes)
+    java.util.Arrays.fill(level, -1)
+    val queue = new Array[Int](numNodes)
+    var qh = 0; var qt = 1
+    queue(0) = s; level(s) = 0
+    while (qh < qt) {
+      val u = queue(qh); qh += 1
+      var p = start(u)
+      while (p < start(u + 1)) {
+        if (cap(p) > 0 && level(head(p)) < 0) { level(head(p)) = level(u) + 1; queue(qt) = head(p); qt += 1 }
+        p += 1
+      }
+    }
+    level
   }
 
   /** Run Dinic from s to t; returns the max-flow value. `cap` afterwards
-    * holds residual capacities.
+    * holds residual capacities. Each blocking flow comes from a current-arc
+    * DFS that keeps its path in an array (no recursion) and restarts from s
+    * after every augmentation.
     */
   def maxFlow(s: Int, t: Int): Long = {
-    freeze()
-    val level = new Array[Int](numNodes)
     val it = new Array[Int](numNodes)
-    val queue = new Array[Int](numNodes)
-
-    def bfs(): Boolean = {
-      java.util.Arrays.fill(level, -1)
-      var qh = 0; var qt = 0
-      queue(qt) = s; qt += 1; level(s) = 0
-      while (qh < qt) {
-        val u = queue(qh); qh += 1
-        val arcs = adjIdx(u)
-        var i = 0
-        while (i < arcs.length) {
-          val a = arcs(i)
-          val v = head(a)
-          if (cap(a) > 0 && level(v) < 0) {
-            level(v) = level(u) + 1
-            queue(qt) = v; qt += 1
-          }
-          i += 1
+    // Arcs of the current path from s; levels rise along it.
+    val path = new Array[Int](numNodes)
+    var flow = 0L
+    var level = levels(s)
+    while (level(t) >= 0) {
+      System.arraycopy(start, 0, it, 0, numNodes)
+      var depth = 0
+      var u = s
+      while (u >= 0) {
+        if (u == t) {
+          var d = Long.MaxValue
+          var i = 0
+          while (i < depth) { d = math.min(d, cap(path(i))); i += 1 }
+          while (i > 0) { i -= 1; cap(path(i)) -= d; cap(rev(path(i))) += d }
+          flow += d
+          depth = 0; u = s
+        } else {
+          var p = it(u)
+          while (p < start(u + 1) && !(cap(p) > 0 && level(head(p)) == level(u) + 1)) p += 1
+          it(u) = p
+          if (p < start(u + 1)) { path(depth) = p; depth += 1; u = head(p) }
+          else if (depth == 0) u = -1 // s is blocked
+          else { depth -= 1; u = head(rev(path(depth))); it(u) += 1 } // dead end: skip the arc
         }
       }
-      level(t) >= 0
-    }
-
-    def dfs(u: Int, pushed: Long): Long = {
-      if (u == t) return pushed
-      var res = 0L
-      while (it(u) < adjIdx(u).length && res == 0L) {
-        val a = adjIdx(u)(it(u))
-        val v = head(a)
-        if (cap(a) > 0 && level(v) == level(u) + 1) {
-          val d = dfs(v, math.min(pushed, cap(a)))
-          if (d > 0) { cap(a) -= d; cap(a ^ 1) += d; res = d }
-          else it(u) += 1
-        } else it(u) += 1
-      }
-      res
-    }
-
-    var flow = 0L
-    while (bfs()) {
-      java.util.Arrays.fill(it, 0)
-      var f = dfs(s, Long.MaxValue)
-      while (f > 0) { flow += f; f = dfs(s, Long.MaxValue) }
+      level = levels(s)
     }
     flow
   }
@@ -92,29 +104,5 @@ final class FlowNetwork(val numNodes: Int) {
   /** Nodes reachable from s via arcs with positive residual capacity —
     * the source side of a minimum cut (call after `maxFlow`).
     */
-  def minCutSourceSide(s: Int): Array[Boolean] = {
-    freeze()
-    val vis = new Array[Boolean](numNodes)
-    val stack = mutable.ArrayDeque(s)
-    vis(s) = true
-    while (stack.nonEmpty) {
-      val u = stack.removeLast()
-      for (a <- adjIdx(u); if cap(a) > 0 && !vis(head(a))) {
-        vis(head(a)) = true
-        stack.append(head(a))
-      }
-    }
-    vis
-  }
-
-  /** Adjacency of the residual graph (arcs with residual capacity > 0),
-    * as used for the SCC step of Algorithms 2 and 4.
-    */
-  def residualAdjacency: Array[Array[Int]] =
-    { freeze(); Array.tabulate(numNodes)(u => adjIdx(u).filter(cap(_) > 0).map(head)) }
-}
-
-object FlowNetwork {
-  /** "Infinite" capacity that cannot overflow when summed. */
-  val Inf: Long = Long.MaxValue / 8
+  def minCutSourceSide(s: Int): Array[Boolean] = levels(s).map(_ >= 0)
 }

@@ -1,62 +1,65 @@
 package repro.graph
 
-import scala.collection.mutable
-
-/** Tarjan's strongly connected components (iterative), plus the condensation
-  * DAG with descendant/ancestor closures — the machinery Line 7 of
-  * Algorithms 2/4 and the enumeration of Algorithm 3 operate on.
+/** Tarjan's strongly connected components (iterative) of a flow network's
+  * residual graph, plus descendant closures over a DAG — the machinery
+  * Line 7 of Algorithms 2/4 and the enumeration of Algorithm 3 operate on.
   */
 object SCC {
 
-  /** Component id per node (ids are in reverse topological order of the
-    * condensation: every arc goes from a higher id to a lower id).
+  /** Component id per node of the residual graph of `net` (its arcs with
+    * positive residual capacity, walked in arc order). Ids are in reverse
+    * topological order of the condensation: every arc goes from a higher id
+    * to a lower id.
     */
-  def components(adj: Array[Array[Int]]): (Array[Int], Int) = {
-    val n = adj.length
+  def components(net: FlowNetwork): (Array[Int], Int) = {
+    val n = net.numNodes
+    val (start, head, cap) = (net.start, net.head, net.cap)
     val index = Array.fill(n)(-1)
     val low = new Array[Int](n)
     val onStack = new Array[Boolean](n)
     val comp = Array.fill(n)(-1)
-    val stack = mutable.ArrayDeque.empty[Int]
+    val stack = new Array[Int](n)
+    var top = 0
     var nextIndex = 0
     var nComp = 0
 
-    // Explicit DFS stack of (node, childPointer).
-    val dfsNode = mutable.ArrayDeque.empty[Int]
-    val dfsPtr = mutable.ArrayDeque.empty[Int]
+    // Explicit DFS stack of (node, next arc).
+    val dfsNode = new Array[Int](n)
+    val dfsArc = new Array[Int](n)
+    var depth = 0
+
+    def visit(v: Int): Unit = {
+      index(v) = nextIndex; low(v) = nextIndex; nextIndex += 1
+      stack(top) = v; top += 1; onStack(v) = true
+      dfsNode(depth) = v; dfsArc(depth) = start(v); depth += 1
+    }
 
     var root = 0
     while (root < n) {
       if (index(root) < 0) {
-        dfsNode.append(root); dfsPtr.append(0)
-        index(root) = nextIndex; low(root) = nextIndex; nextIndex += 1
-        stack.append(root); onStack(root) = true
-        while (dfsNode.nonEmpty) {
-          val u = dfsNode.last
-          val p = dfsPtr.last
-          if (p < adj(u).length) {
-            dfsPtr(dfsPtr.length - 1) = p + 1
-            val v = adj(u)(p)
-            if (index(v) < 0) {
-              index(v) = nextIndex; low(v) = nextIndex; nextIndex += 1
-              stack.append(v); onStack(v) = true
-              dfsNode.append(v); dfsPtr.append(0)
-            } else if (onStack(v)) {
-              if (index(v) < low(u)) low(u) = index(v)
-            }
+        visit(root)
+        while (depth > 0) {
+          val u = dfsNode(depth - 1)
+          var p = dfsArc(depth - 1)
+          while (p < start(u + 1) && cap(p) <= 0) p += 1
+          if (p < start(u + 1)) {
+            dfsArc(depth - 1) = p + 1
+            val v = head(p)
+            if (index(v) < 0) visit(v)
+            else if (onStack(v) && index(v) < low(u)) low(u) = index(v)
           } else {
-            dfsNode.removeLast(); dfsPtr.removeLast()
-            if (dfsNode.nonEmpty) {
-              val parent = dfsNode.last
+            depth -= 1
+            if (depth > 0) {
+              val parent = dfsNode(depth - 1)
               if (low(u) < low(parent)) low(parent) = low(u)
             }
             if (low(u) == index(u)) {
-              var done = false
-              while (!done) {
-                val w = stack.removeLast()
+              var w = -1
+              while (w != u) {
+                top -= 1
+                w = stack(top)
                 onStack(w) = false
                 comp(w) = nComp
-                if (w == u) done = true
               }
               nComp += 1
             }
@@ -66,13 +69,6 @@ object SCC {
       root += 1
     }
     (comp, nComp)
-  }
-
-  /** Condensation DAG adjacency (deduplicated, no self-loops). */
-  def condensation(adj: Array[Array[Int]], comp: Array[Int], nComp: Int): Array[Array[Int]] = {
-    val out = Array.fill(nComp)(mutable.HashSet.empty[Int])
-    for (u <- adj.indices; v <- adj(u); if comp(u) != comp(v)) out(comp(u)) += comp(v)
-    out.map(_.toArray)
   }
 
   /** For each component, the set of components reachable from it (strict

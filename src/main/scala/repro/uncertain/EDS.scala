@@ -17,17 +17,6 @@ object EDS {
 
   final case class Result(nodes: Set[Int], expectedDensity: Double)
 
-  /** O(1) edge-probability lookup. */
-  private final class EdgeProbs(g: UncertainGraph) {
-    private val map = new java.util.HashMap[Long, java.lang.Double](g.m * 2)
-    for (i <- 0 until g.m) map.put(g.edgeU(i).toLong * g.n + g.edgeV(i), g.prob(i))
-    def apply(u: Int, v: Int): Double = {
-      val (a, b) = if (u < v) (u, v) else (v, u)
-      val r = map.get(a.toLong * g.n + b)
-      if (r == null) 0.0 else r.doubleValue
-    }
-  }
-
   /** The max-density witness of instances `sets` with integer weights
     * (the engine's Dinkelbach step, started from every node of positive
     * weight). Instances whose weight rounds to 0 add nothing to any density
@@ -51,11 +40,10 @@ object EDS {
 
   /** Expected h-clique densest subgraph (Appendix C). */
   def clique(g: UncertainGraph, h: Int): Result = {
-    val ep = new EdgeProbs(g)
     val cliques = Cliques.enumerate(g.deterministic, h)
     def cliqueProb(c: Array[Int]): Double = {
       var p = 1.0
-      for (i <- c.indices; j <- i + 1 until c.length) p *= ep(c(i), c(j))
+      for (i <- c.indices; j <- i + 1 until c.length) p *= g.prob(g.edgeIndex(c(i), c(j)))
       p
     }
     val w = cliques.map(c => math.round(cliqueProb(c) * Scale))
@@ -71,11 +59,10 @@ object EDS {
     * (Theorem 7).
     */
   def pattern(g: UncertainGraph, psi: Pattern): Result = {
-    val ep = new EdgeProbs(g)
     val embs = psi.embeddings(g.deterministic)
     def embProb(edges: Array[(Int, Int)]): Double = {
       var p = 1.0
-      for ((u, v) <- edges) p *= ep(u, v)
+      for ((u, v) <- edges) p *= g.prob(g.edgeIndex(u, v))
       p
     }
     val sets = embs.map(_._1)

@@ -22,14 +22,7 @@ object Metrics {
   def probabilisticClusteringCoefficient(g: UncertainGraph, nodes: Set[Int]): Double = {
     val sub = UncertainGraph.fromEdges(g.n, g.inducedEdges(nodes))
     val det = sub.deterministic
-    val p = {
-      val map = new java.util.HashMap[Long, java.lang.Double]()
-      for (i <- 0 until sub.m) map.put(sub.edgeU(i).toLong * g.n + sub.edgeV(i), sub.prob(i))
-      (u: Int, v: Int) => {
-        val (a, b) = if (u < v) (u, v) else (v, u)
-        map.get(a.toLong * g.n + b).doubleValue
-      }
-    }
+    def p(u: Int, v: Int): Double = sub.prob(sub.edgeIndex(u, v))
     var triSum = 0.0
     for (t <- Cliques.enumerate(det, 3))
       triSum += p(t(0), t(1)) * p(t(1), t(2)) * p(t(0), t(2))

@@ -36,8 +36,26 @@ final case class UncertainGraph(
 
   def m: Int = edgeU.length
 
-  /** The deterministic version of the graph (all edges present). */
-  lazy val deterministic: Graph = Graph.fromCanonicalEdges(n, edgeU, edgeV)
+  /** Index of the edge {u, v}, which must exist. */
+  def edgeIndex(u: Int, v: Int): Int = {
+    val i = edgeIds.get(math.min(u, v).toLong << 32 | math.max(u, v))
+    if (i == null) throw new NoSuchElementException(s"no edge {$u, $v}")
+    i
+  }
+
+  /** Edge → index, keyed by the packed canonical pair. Built on first use and
+    * not serialised, so it never travels with a broadcast graph.
+    */
+  @transient private lazy val edgeIds: java.util.HashMap[java.lang.Long, Integer] = {
+    val map = new java.util.HashMap[java.lang.Long, Integer](2 * m)
+    for (i <- 0 until m) map.put(edgeU(i).toLong << 32 | edgeV(i), i)
+    map
+  }
+
+  /** The deterministic version of the graph (all edges present), built on
+    * first use and not serialised.
+    */
+  @transient lazy val deterministic: Graph = Graph.fromCanonicalEdges(n, edgeU, edgeV)
 
   /** Possible world from an edge-presence mask. */
   def world(present: Array[Boolean]): Graph = {

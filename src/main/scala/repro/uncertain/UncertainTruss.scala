@@ -14,19 +14,14 @@ object UncertainTruss {
   /** γ-truss number per edge id (k value; >= 2 for any surviving edge). */
   def trussNumbers(g: UncertainGraph, gamma: Double): Array[Int] = {
     val det = g.deterministic
-    val probOf = mutable.HashMap.empty[(Int, Int), Double]
-    for (i <- 0 until g.m) probOf((g.edgeU(i), g.edgeV(i))) = g.prob(i)
-    def p(u: Int, v: Int): Double = probOf(if (u < v) (u, v) else (v, u))
+    def p(u: Int, v: Int): Double = g.prob(g.edgeIndex(u, v))
 
     val alive = Array.fill(g.m)(true)
-    val edgeId = mutable.HashMap.empty[(Int, Int), Int]
-    for (i <- 0 until g.m) edgeId((g.edgeU(i), g.edgeV(i))) = i
-    def id(u: Int, v: Int): Int = edgeId(if (u < v) (u, v) else (v, u))
 
     def gammaSupport(e: Int): Int = {
       val u = g.edgeU(e); val v = g.edgeV(e)
       val apexProbs = det.adj(u).iterator
-        .filter(w => w != v && det.hasEdge(v, w) && alive(id(u, w)) && alive(id(v, w)))
+        .filter(w => w != v && det.hasEdge(v, w) && alive(g.edgeIndex(u, w)) && alive(g.edgeIndex(v, w)))
         .map(w => p(u, w) * p(v, w))
         .toArray
       val pe = g.prob(e)
@@ -60,7 +55,7 @@ object UncertainTruss {
             // Recompute supports of edges sharing a triangle with e.
             val u = g.edgeU(e); val v = g.edgeV(e)
             for (w <- det.adj(u); if w != v && det.hasEdge(v, w)) {
-              for (f <- Seq(id(u, w), id(v, w)); if alive(f)) {
+              for (f <- Seq(g.edgeIndex(u, w), g.edgeIndex(v, w)); if alive(f)) {
                 sup(f) = gammaSupport(f)
                 if (sup(f) <= k - 2) queue.enqueue(f)
               }

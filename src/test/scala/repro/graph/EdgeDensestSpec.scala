@@ -91,4 +91,20 @@ class EdgeDensestSpec extends AnyFunSuite {
     val g4 = Graph.fromEdges(4, Seq((1, 3)))
     assert(Edge.allDensest(g4, Int.MaxValue).all.map(_.toSet) == Seq(Set(1, 3)))
   }
+
+  test("a 5000-node path world is solved on a 256 KiB stack") {
+    // The path is its own unique densest subgraph, of density 4999/5000.
+    val n = 5000
+    val path = Graph.fromEdges(n, (0 until n - 1).map(v => (v, v + 1)))
+    var result: Either[Throwable, Densest.World] = null
+    val worker = new Thread(null, () => {
+      result = try Right(Edge.allDensest(path, 4096)) catch { case e: Throwable => Left(e) }
+    }, "path-world", 256L * 1024)
+    worker.start()
+    worker.join()
+    val r = result.fold(e => fail("the path world failed on a 256 KiB stack", e), identity)
+    assert(r.num == n - 1 && r.den == n)
+    assert(!r.capped && r.all.size == 1)
+    assert(r.all.head.sameElements(0 until n) && r.maxSized.sameElements(0 until n))
+  }
 }

@@ -102,4 +102,31 @@ class UncertainGraphSpec extends AnyFunSuite {
       UncertainGraph.fromEdges(2, Seq((0, 1, 1.5)))
     }
   }
+
+  test("edgeIndex finds every edge, rejects a missing one; neither it nor deterministic is serialised") {
+    val rnd = new Random(17)
+    val det = Check.randomGraph(rnd, 5, 9)
+    // One more node than the edges reach, so {0, det.n} is not an edge.
+    val g = UncertainGraph(det.n + 1, det.edgeU, det.edgeV, Check.randomProbs(rnd, det.m))
+    def serialised(x: UncertainGraph): Array[Byte] = {
+      val bytes = new java.io.ByteArrayOutputStream()
+      val out = new java.io.ObjectOutputStream(bytes)
+      out.writeObject(x)
+      out.close()
+      bytes.toByteArray
+    }
+    val before = serialised(g)
+    for (i <- 0 until g.m) {
+      assert(g.edgeIndex(g.edgeU(i), g.edgeV(i)) == i)
+      assert(g.edgeIndex(g.edgeV(i), g.edgeU(i)) == i)
+    }
+    assertThrows[NoSuchElementException](g.edgeIndex(0, det.n))
+    assert(g.deterministic.m == g.m)
+    val after = serialised(g)
+    assert(after.length == before.length)
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(after))
+      .readObject().asInstanceOf[UncertainGraph]
+    assert((0 until g.m).forall(i => copy.edgeIndex(g.edgeU(i), g.edgeV(i)) == i))
+    assert(copy.deterministic.m == g.m)
+  }
 }
