@@ -2,6 +2,7 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.BinaryType
 import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
@@ -11,6 +12,7 @@ import scala.jdk.CollectionConverters._
   * match ``sparkDf``. This catches wrong results from a rewritten plan
   * or a custom operator — "it ran" is not "it is correct".
   *
+  * Binary columns load as BLOB, every other column as VARCHAR.
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
@@ -39,15 +41,19 @@ object Oracle {
     try {
       for ((name, df) <- tables) {
         val cols = df.columns
+        val binary = df.schema.fields.map(_.dataType == BinaryType)
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
+          s"CREATE TABLE $name (${cols.zip(binary).map { case (c, b) => s"$c ${if (b) "BLOB" else "VARCHAR"}" }.mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
         val ps = conn.prepareStatement(
           s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
         )
         df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
+          cols.indices.foreach { i =>
+            if (binary(i)) ps.setBytes(i + 1, r.getAs[Array[Byte]](i))
+            else ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull)
+          }
           ps.addBatch()
         }
         ps.executeBatch(); ps.close()

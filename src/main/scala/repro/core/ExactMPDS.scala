@@ -17,7 +17,7 @@ object ExactMPDS {
     * with τ > 0.
     */
   def tauDF(spark: SparkSession, g: UncertainGraph, notion: DensityNotion): DataFrame =
-    MPDS.tauHatDF(MPDS.perSet(MPDS.perWorld(spark, g, Worlds.Enumerated)(MPDS.densest(notion, Int.MaxValue))),
+    MPDS.tauHatDF(MPDS.setRows(spark, g, Worlds.Enumerated)(MPDS.densest(notion, Int.MaxValue)),
       Worlds.Enumerated.total).drop("freq")
 
   /** Exact top-k MPDS. */

@@ -8,8 +8,8 @@ import repro.uncertain.{Rnd, UncertainGraph, WorldSampler}
 /** Algorithm 1 — sampling-based top-k MPDS estimation, as a Spark dataflow:
   *
   *   worlds (0..θ)  →  per-world all-densest node sets (task-local flow
-  *   computation)  →  DataFrame[(world, weight, nodeSet)]  →
-  *   groupBy(nodeSet) Σ weight / θ  =  τ̂  →  top-k.
+  *   computation)  →  DataFrame[(nodeSet, capped)], one row per world and
+  *   densest set  →  groupBy(nodeSet) count / θ  =  τ̂  →  top-k.
   */
 object MPDS {
 
@@ -26,38 +26,48 @@ object MPDS {
       cappedWorlds: Long,
   )
 
-  /** One row (world, weight, capped, sets) per world: `keys(i, world)` gives the
-    * keys of the node sets world `i` counts for, and whether a cap truncated them.
+  /** One row (nodeSet, capped) per node set a world counts for, plus the world's `weight` when
+    * the worlds are enumerated: `sets(i, world)` gives the node sets of world `i` and whether a
+    * cap truncated them. Only a capped world's first row has `capped = true`, so
+    * `count_if(capped)` counts capped worlds. Keys are built here, in the task.
     */
-  private[core] def perWorld(spark: SparkSession, g: UncertainGraph, worlds: Worlds)(
-      keys: (Long, Graph) => (Seq[String], Boolean)): DataFrame = {
+  private[core] def setRows(spark: SparkSession, g: UncertainGraph, worlds: Worlds)(
+      sets: (Long, Graph) => (Seq[Array[Int]], Boolean)): DataFrame = {
     import spark.implicits._
-    worlds
-      .map(spark, g) { (i, w, world) => val (sets, capped) = keys(i, world); (i, w, capped, sets.toArray) }
-      .toDF("world", "weight", "capped", "sets")
+    def rows(i: Long, world: Graph): Iterator[(Array[Byte], Boolean)] = {
+      val (nodeSets, capped) = sets(i, world)
+      nodeSets.iterator.zipWithIndex.map { case (u, j) => (NodeSetKey.of(u), capped && j == 0) }
+    }
+    worlds match {
+      case Worlds.Enumerated =>
+        worlds.flatMap(spark, g)((i, w, world) => rows(i, world).map { case (key, c) => (key, c, w) })
+          .toDF("nodeSet", "capped", "weight")
+      case _: Worlds.Sampled =>
+        worlds.flatMap(spark, g)((i, _, world) => rows(i, world)).toDF("nodeSet", "capped")
+    }
   }
 
-  /** The keys of world `i`'s densest subgraphs (Line 5 of Algorithm 1), at most `cap`, and
-    * whether the world has more than `cap`. `allPerWorld = false` keeps one, drawn uniformly (the
-    * ablation of Table IX); `heuristic = true` takes the §III-C core-based subgraphs instead.
+  /** The densest subgraphs of world `i` (Line 5 of Algorithm 1), at most `cap`, and whether the
+    * world has more than `cap`. `allPerWorld = false` keeps one, drawn uniformly (the ablation of
+    * Table IX); `heuristic = true` takes the §III-C core-based subgraphs instead.
     */
   private[core] def densest(notion: DensityNotion, cap: Int, allPerWorld: Boolean = true,
-      heuristic: Boolean = false, seed: Long = 1L)(i: Long, world: Graph): (Seq[String], Boolean) = {
-    val (sets, capped) =
-      if (heuristic) (notion.heuristicDense(world), false)
-      else { val d = notion.allDensest(world, cap); (d.all, d.capped) }
-    val chosen =
-      if (allPerWorld || sets.isEmpty) sets
-      else Seq(sets(Rnd.forWorld(seed ^ 0x5DEECE66DL, i).nextInt(sets.length)))
-    (chosen.map(s => NodeSetKey.of(s)), capped)
+      heuristic: Boolean = false, seed: Long = 1L): (Long, Graph) => (Seq[Array[Int]], Boolean) = {
+    // A capped world must keep a row to be counted.
+    require(cap > 0, s"the cap on densest subgraphs per world must be positive, not $cap")
+    (i, world) => {
+      val (sets, capped) =
+        if (heuristic) (notion.heuristicDense(world), false)
+        else { val d = notion.allDensest(world, cap); (d.all, d.capped) }
+      val chosen =
+        if (allPerWorld || sets.isEmpty) sets
+        else Seq(sets(Rnd.forWorld(seed ^ 0x5DEECE66DL, i).nextInt(sets.length)))
+      (chosen, capped)
+    }
   }
 
-  /** One row (world, weight, nodeSet) per node set of `perWorld` rows. */
-  private[core] def perSet(perWorld: DataFrame): DataFrame =
-    perWorld.select(col("world"), col("weight"), explode(col("sets")).as("nodeSet"))
-
-  /** DataFrame of (world, weight, nodeSet) rows — one per densest subgraph
-    * per sampled world (Line 5-7 of Algorithm 1); the options are `run`'s.
+  /** DataFrame of (nodeSet, capped) rows — one per densest subgraph per
+    * sampled world (Line 5-7 of Algorithm 1); the options are `run`'s.
     */
   def candidateSets(
       spark: SparkSession,
@@ -70,22 +80,24 @@ object MPDS {
       heuristic: Boolean = false,
       capPerWorld: Int = 100000,
   ): DataFrame =
-    perSet(perWorld(spark, g, Worlds.Sampled(theta, sampler, seed))(
-      densest(notion, capPerWorld, allPerWorld, heuristic, seed)))
+    setRows(spark, g, Worlds.Sampled(theta, sampler, seed))(
+      densest(notion, capPerWorld, allPerWorld, heuristic, seed))
 
-  /** (nodeSet, freq, tau) per node set: `freq` counts its worlds and `tau` is their weight over
-    * `total`, the weight of all worlds (θ when sampled, where tau = τ̂ = freq / θ).
+  /** (nodeSet, freq, tau) per node set: `freq` counts its rows, and `tau` is `freq` over `total`
+    * (θ: τ̂ = freq / θ), or the sum of the rows' `weight` over `total` when they carry one.
     */
-  def tauHatDF(candidates: DataFrame, total: Double): DataFrame =
+  def tauHatDF(candidates: DataFrame, total: Double): DataFrame = {
+    val mass = if (candidates.columns.contains("weight")) sum("weight") else count(lit(1))
     candidates
       .groupBy("nodeSet")
-      .agg(count(lit(1)).as("freq"), sum("weight").as("mass"))
+      .agg(count(lit(1)).as("freq"), mass.as("mass"))
       .select(col("nodeSet"), col("freq"), (col("mass") / lit(total)).as("tau"))
+  }
 
   /** The `k` node sets of highest tau in `tau`, ties broken by key order. */
   private[core] def top(tau: DataFrame, k: Int): Seq[(Seq[Int], Double)] =
     tau.orderBy(desc("tau"), asc("nodeSet")).limit(k).collect().toSeq
-      .map(r => (NodeSetKey.parse(r.getAs[String]("nodeSet")), r.getAs[Double]("tau")))
+      .map(r => (NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")), r.getAs[Double]("tau")))
 
   /** Full Algorithm 1: top-k node sets by τ̂, in one Spark query. */
   def run(
@@ -102,9 +114,9 @@ object MPDS {
   ): Result = {
     val capped = Observation()
     val candidates = Observation()
-    val worlds = perWorld(spark, g, Worlds.Sampled(theta, sampler, seed))(densest(notion, capPerWorld,
-      allPerWorld, heuristic, seed)).observe(capped, count_if(col("capped")).as("n"))
-    val tau = tauHatDF(perSet(worlds), theta).observe(candidates, count(lit(1)).as("n"))
+    val rows = candidateSets(spark, g, notion, theta, sampler, seed, allPerWorld, heuristic, capPerWorld)
+      .observe(capped, count_if(col("capped")).as("n"))
+    val tau = tauHatDF(rows, theta).observe(candidates, count(lit(1)).as("n"))
     val topK = top(tau, k).map { case (nodes, t) => Candidate(nodes, t) }
     // With no candidate rows, adaptive execution replaces the empty stages
     // and their observed counts never run: a missing count is 0.
@@ -124,9 +136,14 @@ object MPDS {
       sampler: WorldSampler = WorldSampler.MonteCarlo,
       seed: Long = 1L,
       capPerWorld: Int = 100000,
-  ): DataFrame =
-    perWorld(spark, g, Worlds.Sampled(theta, sampler, seed))(densest(notion, capPerWorld))
-      .select(col("world"), size(col("sets")).cast("long").as("numDensest"), col("capped"))
+  ): DataFrame = {
+    import spark.implicits._
+    val sets = densest(notion, capPerWorld)
+    Worlds.Sampled(theta, sampler, seed).flatMap(spark, g) { (i, _, world) =>
+      val (all, capped) = sets(i, world)
+      Iterator.single((i, all.size.toLong, capped))
+    }.toDF("world", "numDensest", "capped")
+  }
 
   /** The weight of the worlds where `hit(world, optimum, U)` holds, over
     * the weight of all worlds, for each U of `sets`. `optimum` is
@@ -134,13 +151,14 @@ object MPDS {
     */
   private[core] def score(spark: SparkSession, g: UncertainGraph, worlds: Worlds, notion: DensityNotion,
       sets: Seq[Set[Int]])(hit: (Graph, DensityNotion.World, Set[Int]) => Boolean): Seq[Double] = {
-    val keyed = sets.distinct.map(u => (u, NodeSetKey.of(u)))
-    val hits = perWorld(spark, g, worlds) { (_, world) =>
+    val distinct = sets.distinct
+    val hits = setRows(spark, g, worlds) { (_, world) =>
       val opt = notion.allDensest(world, 1)
-      (keyed.collect { case (u, key) if hit(world, opt, u) => key }, false)
+      (distinct.filter(u => hit(world, opt, u)).map(_.toArray), false)
     }
-    val tau = tauHatDF(perSet(hits), worlds.total).collect().map(r => r.getString(0) -> r.getDouble(2)).toMap
-    sets.map(u => tau.getOrElse(NodeSetKey.of(u), 0.0))
+    val tau = tauHatDF(hits, worlds.total).collect()
+      .map(r => NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")) -> r.getAs[Double]("tau")).toMap
+    sets.map(u => tau.getOrElse(u.toSeq.sorted, 0.0))
   }
 
   /** Estimate τ(U) for given node sets: the fraction of sampled worlds in

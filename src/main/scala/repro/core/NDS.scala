@@ -17,7 +17,10 @@ object NDS {
 
   final case class Nucleus(nodes: Seq[Int], gammaHat: Double)
 
-  final case class Result(topK: Seq[Nucleus], transactions: Seq[Set[Int]])
+  /** `truncated` is TFP's: its search stopped at its limit of visited
+    * tidsets, so `topK` may be partial.
+    */
+  final case class Result(topK: Seq[Nucleus], transactions: Seq[Set[Int]], truncated: Boolean)
 
   /** The per-world candidate (Line 4). With `heuristic = true`, the
     * §III-C core-based substitute: the union of the innermost core and all
@@ -35,9 +38,10 @@ object NDS {
   ): Seq[Set[Int]] = {
     import spark.implicits._
     Worlds.Sampled(theta, sampler, seed)
-      .map(spark, g) { (_, _, world) =>
-        if (heuristic) notion.heuristicDense(world).flatten.distinct.sorted.toArray
-        else notion.allDensest(world, 1).maxSized
+      .flatMap(spark, g) { (_, _, world) =>
+        Iterator.single(
+          if (heuristic) notion.heuristicDense(world).flatten.distinct.sorted.toArray
+          else notion.allDensest(world, 1).maxSized)
       }
       .collect().toSeq.map(_.toSet)
   }
@@ -56,9 +60,8 @@ object NDS {
   ): Result = {
     val tx = transactions(spark, g, notion, theta, sampler, seed, heuristic)
     val nonEmpty = tx.filter(_.nonEmpty)
-    val top = TFP.topK(nonEmpty, k, lm).map { c =>
-      Nucleus(c.items.toSeq.sorted, c.support.toDouble / theta)
-    }
-    Result(top, tx)
+    val mined = TFP.mine(nonEmpty, k, lm)
+    val top = mined.topK.map(c => Nucleus(c.items.toSeq.sorted, c.support.toDouble / theta))
+    Result(top, tx, mined.truncated)
   }
 }

@@ -19,15 +19,15 @@ sealed trait Worlds extends Serializable {
   /** World `i` of `g` with its weight; None if it has probability 0. */
   protected def world(g: UncertainGraph, i: Long): Option[(Double, Graph)]
 
-  /** `f(i, weight, world)` for every world `i`, as one Spark Dataset: the
-    * only fan-out over possible worlds. `g` is broadcast once, and each
-    * task builds its worlds from their ids.
+  /** The rows `f(i, weight, world)` of every world `i`, as one Spark
+    * Dataset: the only fan-out over possible worlds. `g` is broadcast once,
+    * and each task builds its worlds from their ids.
     */
-  final def map[A: Encoder](spark: SparkSession, g: UncertainGraph)(
-      f: (Long, Double, Graph) => A): Dataset[A] = {
+  final def flatMap[A: Encoder](spark: SparkSession, g: UncertainGraph)(
+      f: (Long, Double, Graph) => Iterator[A]): Dataset[A] = {
     val bc = spark.sparkContext.broadcast(g)
     spark.range(ids(g)).as(Encoders.scalaLong)
-      .flatMap(i => world(bc.value, i).map { case (w, gw) => f(i, w, gw) })
+      .flatMap(i => world(bc.value, i).iterator.flatMap { case (w, gw) => f(i, w, gw) })
   }
 }
 

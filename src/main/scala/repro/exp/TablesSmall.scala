@@ -23,9 +23,9 @@ object TableI {
 
   def run(spark: SparkSession): Table = {
     val tau = ExactMPDS.tauDF(spark, fig1, DensityNotion.Edge)
-      .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
+      .collect().map(r => NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")).toSet -> r.getAs[Double]("tau")).toMap
     val eedRow = "EED" +: sets.map { case (_, s) => f(EDS.expectedEdgeDensity(fig1, s)) }
-    val dspRow = "DSP" +: sets.map { case (_, s) => f(tau.getOrElse(NodeSetKey.of(s), 0.0)) }
+    val dspRow = "DSP" +: sets.map { case (_, s) => f(tau.getOrElse(s, 0.0)) }
     Table("Table I: EED and DSP of node sets (Figure 1 graph)",
       "metric" +: sets.map(_._1), Seq(eedRow, dspRow))
   }

@@ -84,26 +84,39 @@ object DensestEnum {
       }
     }
 
-    // Algorithm 3. `c1Closure` maintains C1 ∪ des(C1); candidates are only
-    // components with V-nodes (line 5); each recursion branch fixes one
-    // candidate in and continues without it and its des/anc (independence).
-    def rec(c1Closure: java.util.BitSet, c1NonEmpty: Boolean, c2: List[Int]): Unit = {
-      if (capped) return
-      if (c1NonEmpty) emit(c1Closure)
-      var rest = c2
-      while (rest.nonEmpty && !capped) {
-        val c = rest.head
-        rest = rest.tail
-        val closure = c1Closure.clone().asInstanceOf[java.util.BitSet]
+    // Algorithm 3, depth first with an explicit stack. Level d holds C1 ∪
+    // des(C1) and the candidates still to try beside C1, `cands(d)` from
+    // `next(d)` on: only components with V-nodes (line 5), in order. Taking
+    // the next candidate c emits the child C1 ∪ {c} and pushes it with the
+    // later candidates outside des(c) and anc(c) (independence), sharing
+    // the parent's array when c excludes none of them. So `all` lists the
+    // sets in the preorder of Algorithm 3's recursion, and a level costs
+    // heap, not thread stack: each one fixes a candidate, so depth ≤ k.
+    val closures = new Array[java.util.BitSet](k + 1)
+    val cands = new Array[Array[Int]](k + 1)
+    val next = new Array[Int](k + 1)
+    closures(0) = new java.util.BitSet(k)
+    cands(0) = (0 until k).filter(compV(_).nonEmpty).toArray
+    var d = 0
+    while (d >= 0 && !capped) {
+      val from = cands(d)
+      if (next(d) == from.length) d -= 1
+      else {
+        val c = from(next(d))
+        next(d) += 1
+        val closure = closures(d).clone().asInstanceOf[java.util.BitSet]
         closure.set(c)
         closure.or(des(c))
-        val remaining = rest.filter(x => !des(c).get(x) && !anc(c).get(x))
-        rec(closure, c1NonEmpty = true, remaining)
+        emit(closure)
+        val independent = (x: Int) => !des(c).get(x) && !anc(c).get(x)
+        var i = next(d)
+        while (i < from.length && independent(from(i))) i += 1
+        d += 1
+        closures(d) = closure
+        if (i == from.length) { cands(d) = from; next(d) = next(d - 1) }
+        else { cands(d) = from.drop(next(d - 1)).filter(independent); next(d) = 0 }
       }
     }
-
-    val candidates = (0 until k).filter(compV(_).nonEmpty).toList
-    rec(new java.util.BitSet(k), c1NonEmpty = false, candidates)
 
     // Maximum-sized densest subgraph: every non-trivial component with a
     // V-node forms a singleton independent set, so the union of all densest

@@ -21,17 +21,30 @@ object TFP {
     def frequency(nTransactions: Int): Double = support.toDouble / nTransactions
   }
 
+  /** The top-k closed sets, and whether the search stopped at `maxVisited`
+    * tidsets, so that the top-k may be partial.
+    */
+  final case class Mined(topK: Seq[ClosedSet], truncated: Boolean)
+
   def topK(
       transactions: Seq[Set[Int]],
       k: Int,
       lm: Int,
       maxVisited: Int = 2000000,
-  ): Seq[ClosedSet] = {
-    if (transactions.isEmpty || k <= 0) return Seq.empty
+  ): Seq[ClosedSet] = mine(transactions, k, lm, maxVisited).topK
+
+  def mine(
+      transactions: Seq[Set[Int]],
+      k: Int,
+      lm: Int,
+      maxVisited: Int = 2000000,
+  ): Mined = {
+    val none = Mined(Seq.empty, truncated = false)
+    if (transactions.isEmpty || k <= 0) return none
     val tx = transactions.toIndexedSeq
     val nTx = tx.size
     val items: Array[Int] = tx.flatten.distinct.sorted.toArray
-    if (items.isEmpty) return Seq.empty
+    if (items.isEmpty) return none
     val itemIdx = items.zipWithIndex.toMap
 
     // Tidset per item.
@@ -70,8 +83,11 @@ object TFP {
       }
     }
 
+    var truncated = false
+
+    // Every call brings an unvisited tidset, so a refused call is a cut.
     def dfs(tid: java.util.BitSet): Unit = {
-      if (visited.size >= maxVisited) return
+      if (visited.size >= maxVisited) { truncated = true; return }
       if (!visited.add(tid)) return
       val support = tid.cardinality
       if (support < minsup) return
@@ -94,14 +110,13 @@ object TFP {
     val root = new java.util.BitSet(nTx)
     root.set(0, nTx)
     dfs(root)
-    if (visited.size >= maxVisited)
-      Console.err.println(s"[TFP] DFS capped at $maxVisited tidsets — results may be partial")
 
-    results
+    val top = results
       .filter(_.support >= minsup)
       .sortBy(c => (-c.support, -c.items.size, c.items.toSeq.sorted.mkString(",")))
       .take(k)
       .toSeq
+    Mined(top, truncated)
   }
 
   /** Estimated containment probability of `u` in the transaction multiset

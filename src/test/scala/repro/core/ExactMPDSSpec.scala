@@ -11,16 +11,20 @@ class ExactMPDSSpec extends SparkSpec {
   private def fig1 = UncertainGraph.fromEdges(4,
     Seq((0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7))) // A=0,B=1,C=2,D=3
 
+  /** Exact τ per node set, keyed by its sorted ids. */
+  private def exactTau(g: UncertainGraph): Map[Seq[Int], Double] =
+    ExactMPDS.tauDF(spark, g, DensityNotion.Edge).collect()
+      .map(r => NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")) -> r.getAs[Double]("tau")).toMap
+
   test("Table I: exact densest subgraph probabilities of the Figure 1 graph") {
-    val tau = ExactMPDS.tauDF(spark, fig1, DensityNotion.Edge)
-      .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
-    def t(s: String) = tau.getOrElse(s, 0.0)
-    assert(math.abs(t("0,1") - 0.072) < 1e-9)      // {A,B}  = 0.07
-    assert(math.abs(t("0,2") - 0.24) < 1e-9)       // {A,C}  = 0.24
-    assert(math.abs(t("1,3") - 0.42) < 1e-9)       // {B,D}  = 0.42
-    assert(math.abs(t("0,1,2") - 0.048) < 1e-9)    // {A,B,C} = 0.05
-    assert(math.abs(t("0,1,3") - 0.168) < 1e-9)    // {A,B,D} = 0.17
-    assert(math.abs(t("0,1,2,3") - 0.28) < 1e-9)   // {A,B,C,D} = 0.28
+    val tau = exactTau(fig1)
+    def t(s: Int*) = tau.getOrElse(s, 0.0)
+    assert(math.abs(t(0, 1) - 0.072) < 1e-9)       // {A,B}  = 0.07
+    assert(math.abs(t(0, 2) - 0.24) < 1e-9)        // {A,C}  = 0.24
+    assert(math.abs(t(1, 3) - 0.42) < 1e-9)        // {B,D}  = 0.42
+    assert(math.abs(t(0, 1, 2) - 0.048) < 1e-9)    // {A,B,C} = 0.05
+    assert(math.abs(t(0, 1, 3) - 0.168) < 1e-9)    // {A,B,D} = 0.17
+    assert(math.abs(t(0, 1, 2, 3) - 0.28) < 1e-9)  // {A,B,C,D} = 0.28
   }
 
   test("Table I: the MPDS is {B,D} with tau = 0.42") {
@@ -41,16 +45,15 @@ class ExactMPDSSpec extends SparkSpec {
       if (det.m > 0 && det.m <= 8) {
         val ug = UncertainGraph(det.n, det.edgeU, det.edgeV, Check.randomProbs(rnd, det.m))
         // Driver-side brute force: enumerate worlds, brute densest families.
-        val brute = collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
+        val brute = collection.mutable.Map.empty[Seq[Int], Double].withDefaultValue(0.0)
         for (mask <- 0L until (1L << ug.m)) {
           val present = ug.worldOfMask(mask)
           val pr = ug.worldProbability(present)
           val world = ug.world(present)
           val (_, _, all) = BruteForce.allEdgeDensest(world)
-          for (s <- all) brute(s.toSeq.sorted.mkString(",")) += pr
+          for (s <- all) brute(s.toSeq.sorted) += pr
         }
-        val got = ExactMPDS.tauDF(spark, ug, DensityNotion.Edge)
-          .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
+        val got = exactTau(ug)
         assert(got.keySet == brute.keySet)
         for ((k, v) <- brute) assert(math.abs(got(k) - v) < 1e-9, s"set $k")
       }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions.{count, lit, round, sum}
+import org.apache.spark.sql.functions.{col, count, hex, lit, round, sum}
 import repro.{Oracle, SparkSpec}
 import repro.uncertain.{UncertainGraph, WorldSampler}
 import repro.data.Datasets
@@ -14,12 +14,12 @@ class MPDSSpec extends SparkSpec {
     val theta = 4000
     val cands = MPDS.candidateSets(spark, fig1, DensityNotion.Edge, theta, seed = 5L)
     val tau = MPDS.tauHatDF(cands, theta).collect()
-      .map(r => r.getString(0) -> r.getDouble(2)).toMap
-    def t(s: String) = tau.getOrElse(s, 0.0)
-    assert(math.abs(t("1,3") - 0.42) < 0.03)
-    assert(math.abs(t("0,2") - 0.24) < 0.03)
-    assert(math.abs(t("0,1,2,3") - 0.28) < 0.03)
-    assert(math.abs(t("0,1") - 0.072) < 0.02)
+      .map(r => NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")) -> r.getAs[Double]("tau")).toMap
+    def t(s: Int*) = tau.getOrElse(s, 0.0)
+    assert(math.abs(t(1, 3) - 0.42) < 0.03)
+    assert(math.abs(t(0, 2) - 0.24) < 0.03)
+    assert(math.abs(t(0, 1, 2, 3) - 0.28) < 0.03)
+    assert(math.abs(t(0, 1) - 0.072) < 0.02)
   }
 
   test("top-1 MPDS of the Figure 1 graph is {B,D}") {
@@ -31,9 +31,8 @@ class MPDSSpec extends SparkSpec {
   test("estimator is unbiased across seeds (mean of estimates ~ tau)") {
     val runs = (0 until 10).map { s =>
       val cands = MPDS.candidateSets(spark, fig1, DensityNotion.Edge, 500, seed = 1000L + s)
-      MPDS.tauHatDF(cands, 500).collect()
-        .collectFirst { case r if r.getString(0) == "1,3" => r.getDouble(2) }
-        .getOrElse(0.0)
+      MPDS.tauHatDF(cands, 500).filter(col("nodeSet") === NodeSetKey.of(Set(1, 3))).collect()
+        .headOption.fold(0.0)(_.getAs[Double]("tau"))
     }
     assert(math.abs(runs.sum / runs.size - 0.42) < 0.03)
   }
@@ -41,10 +40,10 @@ class MPDSSpec extends SparkSpec {
   test("tauHat aggregation matches DuckDB (oracle)") {
     val theta = 300
     val cands = MPDS.candidateSets(spark, fig1, DensityNotion.Edge, theta, seed = 11L)
-    val agg = MPDS.tauHatDF(cands, theta).select("nodeSet", "freq")
+    val agg = MPDS.tauHatDF(cands, theta).select(hex(col("nodeSet")).as("nodeSet"), col("freq"))
     Oracle.assertEquivalent(
       agg,
-      "SELECT nodeSet, COUNT(*) AS freq FROM cands GROUP BY nodeSet",
+      "SELECT hex(nodeSet) AS nodeSet, COUNT(*) AS freq FROM cands GROUP BY nodeSet",
       "cands" -> cands,
     )
   }
@@ -107,6 +106,14 @@ class MPDSSpec extends SparkSpec {
     val twoEdges = UncertainGraph.fromEdges(4, Seq((0, 1, 1.0), (2, 3, 1.0)))
     assert(MPDS.run(spark, twoEdges, DensityNotion.Edge, 3, theta = 20, seed = 79L, capPerWorld = 3).cappedWorlds == 0)
     assert(MPDS.run(spark, twoEdges, DensityNotion.Edge, 3, theta = 20, seed = 79L, capPerWorld = 2).cappedWorlds == 20)
+  }
+
+  test("top-k ties break in numeric order of the sorted ids") {
+    // Both certain edges and their union are densest in every world.
+    val ug = UncertainGraph.fromEdges(12, Seq((2, 3, 1.0), (10, 11, 1.0)))
+    val r = MPDS.run(spark, ug, DensityNotion.Edge, 3, theta = 20, seed = 83L)
+    assert(r.topK.map(_.nodes) == Seq(Seq(2, 3), Seq(2, 3, 10, 11), Seq(10, 11)))
+    assert(r.topK.forall(_.tauHat == 1.0))
   }
 
   test("a run without candidates reports zero candidates and zero capped worlds") {

@@ -29,6 +29,7 @@ class NDSSpec extends SparkSpec {
     val best = r.topK.head
     assert(best.nodes == Seq(1, 3))
     assert(math.abs(best.gammaHat - 0.7) < 0.03)
+    assert(!r.truncated)
   }
 
   test("lm filters small nuclei") {

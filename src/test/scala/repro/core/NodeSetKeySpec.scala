@@ -1,0 +1,36 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalatest.funsuite.AnyFunSuite
+import scala.math.Ordering.Implicits.seqOrdering
+
+class NodeSetKeySpec extends AnyFunSuite {
+
+  /** Node ids over the whole non-negative range, with its ends often. */
+  private val id: Gen[Int] = Gen.frequency(
+    (1, Gen.const(0)), (1, Gen.const(Int.MaxValue)), (3, Gen.choose(0, 40)), (5, Gen.choose(0, Int.MaxValue)))
+
+  /** A node set in the generator's (unsorted) order, empty ones included. */
+  private val nodeSet: Gen[Seq[Int]] = Gen.listOf(id).map(_.distinct)
+
+  private def check(p: Prop): Unit = {
+    val r = Test.check(Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(20261019L), p)
+    assert(r.passed, r.status.toString)
+  }
+
+  test("a key decodes to the sorted ids of its set") {
+    check(Prop.forAll(nodeSet)(s => NodeSetKey.parse(NodeSetKey.of(s)) == s.sorted))
+    assert(NodeSetKey.of(Seq.empty).isEmpty && NodeSetKey.parse(Array.empty).isEmpty)
+    assert(NodeSetKey.parse(NodeSetKey.of(Seq(Int.MaxValue, 7, 0))) == Seq(0, 7, Int.MaxValue))
+  }
+
+  test("unsigned byte order of keys is the lexicographic order of sorted ids") {
+    check(Prop.forAll(nodeSet, nodeSet) { (a, b) =>
+      Integer.signum(java.util.Arrays.compareUnsigned(NodeSetKey.of(a), NodeSetKey.of(b))) ==
+        Integer.signum(seqOrdering[Seq, Int].compare(a.sorted, b.sorted))
+    })
+    def before(a: Set[Int], b: Set[Int]) = java.util.Arrays.compareUnsigned(NodeSetKey.of(a), NodeSetKey.of(b)) < 0
+    assert(before(Set(2), Set(10)))
+    assert(before(Set(1, 3), Set(1, 3, 4)) && before(Set(1, 3, 4), Set(2)))
+  }
+}

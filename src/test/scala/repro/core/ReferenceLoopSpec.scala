@@ -3,6 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.data.Datasets
 import repro.uncertain.{Rnd, WorldSampler}
+import scala.math.Ordering.Implicits.seqOrdering
 
 /** Every Spark estimator against a driver-side loop over the same public
   * per-world functions (`worldForIndex` → `world` → `allDensest`), with
@@ -34,9 +35,10 @@ class ReferenceLoopSpec extends SparkSpec {
         if (allPerWorld || w.all.isEmpty) w.all
         else Seq(w.all(Rnd.forWorld(seed ^ 0x5DEECE66DL, i.toLong).nextInt(w.all.size)))
       }
-      val freq = kept.flatten.groupBy(s => NodeSetKey.of(s)).map { case (k, v) => k -> v.size }
-      val want = freq.toSeq.sortBy { case (k, f) => (-f, k) }.take(10)
-        .map { case (k, f) => (NodeSetKey.parse(k), f.toDouble / theta) }
+      val freq = kept.flatten.groupBy(_.toSeq.sorted).map { case (s, v) => s -> v.size }
+      // Ties break in numeric order of the sorted ids.
+      val want = freq.toSeq.sortBy { case (s, f) => (-f, s) }.take(10)
+        .map { case (s, f) => (s, f.toDouble / theta) }
 
       val r = MPDS.run(spark, karate, DensityNotion.Edge, k = 10, theta = theta, sampler = sampler,
         seed = seed, allPerWorld = allPerWorld, capPerWorld = cap)

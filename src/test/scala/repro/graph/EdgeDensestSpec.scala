@@ -107,4 +107,20 @@ class EdgeDensestSpec extends AnyFunSuite {
     assert(!r.capped && r.all.size == 1)
     assert(r.all.head.sameElements(0 until n) && r.maxSized.sameElements(0 until n))
   }
+
+  test("2500 equally dense components are enumerated on a 256 KiB stack") {
+    // Every union of the edges is densest, and the enumeration first takes
+    // them one by one, 2500 deep; past the cap it stops.
+    val n = 5000
+    val edges = Graph.fromEdges(n, (0 until n by 2).map(v => (v, v + 1)))
+    var result: Either[Throwable, Densest.World] = null
+    val worker = new Thread(null, () => {
+      result = try Right(Edge.allDensest(edges, 4096)) catch { case e: Throwable => Left(e) }
+    }, "disjoint-edges", 256L * 1024)
+    worker.start()
+    worker.join()
+    val r = result.fold(e => fail("2500 disjoint edges failed on a 256 KiB stack", e), identity)
+    assert(r.num == 1 && r.den == 2 && r.capped && r.all.size == 4096)
+    assert(r.all(n / 2 - 1).length == n && r.maxSized.sameElements(0 until n))
+  }
 }

@@ -68,4 +68,15 @@ class TFPSpec extends AnyFunSuite {
     assert(TFP.topK(Seq(Set(1)), 0, 1).isEmpty)
     assert(TFP.topK(Seq(Set(1)), 3, 2).isEmpty)
   }
+
+  test("mine reports whether the search stopped at maxVisited") {
+    val tx = Seq(Set(1, 2, 3), Set(1, 2), Set(2, 3), Set(1, 3), Set(3, 4))
+    val all = TFP.mine(tx, 10, 1, maxVisited = 100)
+    assert(!all.truncated)
+    assert(all.topK == TFP.topK(tx, 10, 1))
+    val cut = TFP.mine(tx, 10, 1, maxVisited = 2)
+    assert(cut.truncated)
+    assert(cut.topK.size < all.topK.size)
+    assert(!TFP.mine(Seq.empty, 3, 1, maxVisited = 1).truncated)
+  }
 }
