@@ -16,7 +16,7 @@ sealed trait DensityNotion extends Serializable {
   /** All densest subgraphs (at most `cap` of them) + maximum-sized one +
     * exact optimum density.
     */
-  final def allDensest(g: Graph, cap: Int): DensityNotion.World = Densest.allDensest(g, instances, cap)
+  final def allDensest(g: Graph, cap: Int): DensityNotion.World = Densest.allDensest(g.n, instances(g), cap)
 
   /** Density of `nodes` inside world `g`, as an exact rational. */
   final def densityOf(g: Graph, nodes: Set[Int]): (Long, Long) = {

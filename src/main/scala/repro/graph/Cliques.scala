@@ -15,9 +15,12 @@ object Cliques {
     require(h >= 1, s"h must be >= 1, got $h")
     if (h == 1) return Array.tabulate(g.n)(v => Array(v))
     if (h == 2) return Array.tabulate(g.m)(i => Array(g.edgeU(i), g.edgeV(i)))
-    val (_, pos) = g.degeneracyOrder
-    // Orient every edge from lower to higher degeneracy position: each
-    // node's out-neighbourhood then has size <= degeneracy.
+    // Orient every edge from lower to higher position in the edge peel's
+    // min-degree removal order, a degeneracy order: each node's
+    // out-neighbourhood then has size <= degeneracy.
+    val order = HyperPeeling.peel(g.n, enumerate(g, 2)).order
+    val pos = new Array[Int](g.n)
+    for (k <- order.indices) pos(order(k)) = k
     val out = Array.tabulate(g.n)(v => g.adj(v).filter(w => pos(w) > pos(v)))
     val results = mutable.ArrayBuffer.empty[Array[Int]]
     val clique = new Array[Int](h)

@@ -42,22 +42,26 @@ object Densest {
 
   private def gcd(a: Long, b: Long): Long = if (b == 0) math.max(a, 1) else gcd(b, a % b)
 
-  /** All densest subgraphs of `g` for the instances `instances` lists, up to
-    * `cap` of them (Algorithms 1–4 and 7).
+  /** All densest subgraphs for the instances `inst` (node sets, ids < n),
+    * up to `cap` of them (Algorithms 1–4 and 7).
+    *
+    * Lines 1–3 peel `inst` once. An edge, h-clique or (non-induced)
+    * ψ-instance lies in a node set U iff its nodes do, so the instances of
+    * the (⌈ρ̃⌉, ψ)-core are the entries of `inst` whose nodes all have core
+    * number ≥ ⌈ρ̃⌉, kept in `inst`'s order; none is enumerated again.
     */
-  def allDensest(g: Graph, instances: Graph => Array[Array[Int]], cap: Int): World = {
-    val inst = instances(g)
+  def allDensest(n: Int, inst: Array[Array[Int]], cap: Int): World = {
     if (inst.isEmpty) return World(Seq.empty, capped = false, Array.empty, 0L, 1L)
 
     // Lines 1-2: peeling lower bound ρ̃ and the (⌈ρ̃⌉, ψ)-core, which holds
     // every densest subgraph.
-    val pr = HyperPeeling.peel(g.n, inst)
+    val pr = HyperPeeling.peel(n, inst)
     val (a, b) = pr.bestDensity
-    val core = g.inducedSubgraph(pr.coreAtLeast((a + b - 1) / b))
+    val core = pr.coreAtLeast((a + b - 1) / b)
 
-    // Line 3: instances of the core, grouped by node set; line 4: ρ*.
-    val (sets, counts) = Pattern.groups(instances(core))
-    val opt = maxDensity(g.n, sets, counts.map(_.toLong), pr.bestSuffixNodes)
+    // Line 3: the core's instances, grouped by node set; line 4: ρ*.
+    val (sets, counts) = Pattern.groups(inst.filter(_.forall(core)))
+    val opt = maxDensity(n, sets, counts.map(_.toLong), pr.bestSuffixNodes)
 
     // Lines 5-8: residual SCCs of the flow at ρ*, then Algorithm 3.
     val vOf = (id: Int) => if (id >= 2 && id < opt.nodes.length + 2) opt.nodes(id - 2) else -1

@@ -28,61 +28,6 @@ final class Graph private (
     val (a, b) = if (u < v) (u, v) else (v, u)
     java.util.Arrays.binarySearch(adj(a), b) >= 0
   }
-
-  /** Edge density |E|/|V| of the whole graph (0 for the empty graph). */
-  def edgeDensity: Double = if (n == 0) 0.0 else m.toDouble / n
-
-  /** Subgraph induced by the nodes where `keep(v)` holds, preserving ids. */
-  def inducedSubgraph(keep: Array[Boolean]): Graph = {
-    val bu = mutable.ArrayBuilder.make[Int]
-    val bv = mutable.ArrayBuilder.make[Int]
-    var i = 0
-    while (i < m) {
-      if (keep(edgeU(i)) && keep(edgeV(i))) { bu += edgeU(i); bv += edgeV(i) }
-      i += 1
-    }
-    Graph.fromCanonicalEdges(n, bu.result(), bv.result())
-  }
-
-  /** Subgraph induced by a node-id set, preserving ids. */
-  def inducedSubgraph(nodes: Set[Int]): Graph = {
-    val keep = new Array[Boolean](n)
-    nodes.foreach(v => if (v < n) keep(v) = true)
-    inducedSubgraph(keep)
-  }
-
-  /** Degeneracy ordering (smallest-degree-first peeling); returns the order
-    * and each node's position in it. Used to orient clique enumeration.
-    */
-  def degeneracyOrder: (Array[Int], Array[Int]) = {
-    val deg = Array.tabulate(n)(degree)
-    val removed = new Array[Boolean](n)
-    val order = new Array[Int](n)
-    val pos = new Array[Int](n)
-    // Bucket queue over degrees with lazy deletion: stale entries (degree
-    // changed since enqueue) are skipped. A neighbour's degree drops by at
-    // most 1 per removal, so restarting the scan at d-1 keeps this O(n+m).
-    val buckets = Array.fill(n + 1)(mutable.ArrayDeque.empty[Int])
-    for (v <- 0 until n) buckets(deg(v)).append(v)
-    var d = 0
-    var k = 0
-    while (k < n) {
-      if (d > 0) d -= 1
-      var v = -1
-      while (v < 0) {
-        while (buckets(d).isEmpty) d += 1
-        val cand = buckets(d).removeHead()
-        if (!removed(cand) && deg(cand) == d) v = cand
-      }
-      removed(v) = true
-      order(k) = v; pos(v) = k; k += 1
-      for (w <- adj(v); if !removed(w)) {
-        deg(w) -= 1
-        buckets(deg(w)).append(w)
-      }
-    }
-    (order, pos)
-  }
 }
 
 object Graph {

@@ -17,9 +17,7 @@ import scala.collection.mutable
   */
 object TFP {
 
-  final case class ClosedSet(items: Set[Int], support: Int) {
-    def frequency(nTransactions: Int): Double = support.toDouble / nTransactions
-  }
+  final case class ClosedSet(items: Set[Int], support: Int)
 
   /** The top-k closed sets, and whether the search stopped at `maxVisited`
     * tidsets, so that the top-k may be partial.

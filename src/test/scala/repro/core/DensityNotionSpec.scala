@@ -10,6 +10,26 @@ class DensityNotionSpec extends AnyFunSuite {
     DensityNotion.Edge, DensityNotion.Clique(3), DensityNotion.Clique(4),
     DensityNotion.Pat(Pattern.TwoStar), DensityNotion.Pat(Pattern.Diamond))
 
+  test("instances of G[U] are the instances of G inside U") {
+    val all = notions ++ Seq(DensityNotion.Pat(Pattern.ThreeStar), DensityNotion.Pat(Pattern.C3Star))
+    // Clique orientation and c3-star's triangles follow each graph's own
+    // peel order, so only these notions list the instances in the same order.
+    val sameOrder = Set("edge", "2-star", "3-star", "diamond")
+    def multiset(xs: Seq[Seq[Int]]) = xs.groupMapReduce(identity)(_ => 1)(_ + _)
+    val rnd = new scala.util.Random(88)
+    Check.forAllGraphs(40, 3, 10) { g =>
+      val inU = Array.fill(g.n)(rnd.nextDouble() < 0.7)
+      val sub = Graph.fromEdges(g.n, (0 until g.m).map(e => (g.edgeU(e), g.edgeV(e)))
+        .filter { case (u, v) => inU(u) && inU(v) })
+      for (n <- all) {
+        val inside = n.instances(g).toSeq.filter(_.forall(inU)).map(_.toSeq)
+        val ofSub = n.instances(sub).toSeq.map(_.toSeq)
+        assert(multiset(inside) == multiset(ofSub), n.name)
+        if (sameOrder(n.name)) assert(inside == ofSub, n.name)
+      }
+    }
+  }
+
   test("densityOf equals instance count over size") {
     Check.forAllGraphs(20, 3, 8) { g =>
       for (n <- notions; s <- Seq(Set(0, 1), (0 until g.n).toSet)) {

@@ -16,11 +16,7 @@ class DensestSpec extends AnyFunSuite {
         val drawn = Array.fill(1 + rnd.nextInt(8))(rnd.shuffle((0 until n).toList).take(q).sorted.toArray)
         val weights = Array.fill(drawn.length)(1L + rnd.nextInt(5))
         val inst = drawn.indices.toArray.flatMap(i => Array.fill(weights(i).toInt)(drawn(i)))
-        // Instances live on the complete graph; the core's induced subgraph
-        // keeps exactly the instances whose nodes all survive.
-        val complete = Graph.fromEdges(n, for (u <- 0 until n; v <- u + 1 until n) yield (u, v))
-        val instancesOf = (h: Graph) => inst.filter(_.forall(h.degree(_) > 0))
-        val r = Densest.allDensest(complete, instancesOf, Int.MaxValue)
+        val r = Densest.allDensest(n, inst, Int.MaxValue)
         val (bn, bd, all) = BruteForce.allInstanceDensest(n, inst)
         val ctx = s"trial $trial: n=$n instances=${inst.map(_.mkString("{", ",", "}")).mkString(" ")}"
         assert(r.num == bn && r.den == bd, s"$ctx: got ${r.num}/${r.den} want $bn/$bd")

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.DensityNotion
 import repro.testkit.Check
 
 class GraphSpec extends AnyFunSuite {
@@ -15,18 +16,12 @@ class GraphSpec extends AnyFunSuite {
 
   test("edge density of triangle is 1") {
     val g = Graph.fromEdges(3, Seq((0, 1), (1, 2), (0, 2)))
-    assert(g.edgeDensity == 1.0)
+    assert(DensityNotion.Edge.densityOf(g, Set(0, 1, 2)) == ((3L, 3L)))
   }
 
   test("empty graph has zero density and no edges") {
     val g = Graph.fromEdges(3, Seq.empty)
-    assert(g.m == 0 && g.edgeDensity == 0.0)
-  }
-
-  test("inducedSubgraph keeps only internal edges") {
-    val g = Graph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
-    val sub = g.inducedSubgraph(Set(0, 1, 2))
-    assert(sub.m == 2 && sub.hasEdge(0, 1) && sub.hasEdge(1, 2) && !sub.hasEdge(2, 3))
+    assert(g.m == 0 && DensityNotion.Edge.densityOf(g, Set(0, 1, 2)) == ((0L, 3L)))
   }
 
   test("adjacency is sorted and symmetric") {
@@ -36,42 +31,6 @@ class GraphSpec extends AnyFunSuite {
         for (w <- g.adj(v)) assert(g.adj(w).contains(v))
       }
       assert(g.adj.map(_.length).sum == 2 * g.m)
-    }
-  }
-
-  test("degeneracy order is a valid min-degree peel") {
-    Check.forAllGraphs(50, 3, 10) { g =>
-      val (order, pos) = g.degeneracyOrder
-      assert(order.toSet == (0 until g.n).toSet)
-      assert(order.indices.forall(k => pos(order(k)) == k))
-      val removed = new Array[Boolean](g.n)
-      for (k <- 0 until g.n) {
-        val v = order(k)
-        val degOf = (x: Int) => g.adj(x).count(!removed(_))
-        val minDeg = (0 until g.n).filter(!removed(_)).map(degOf).min
-        assert(degOf(v) == minDeg, s"step $k removed non-minimal node")
-        removed(v) = true
-      }
-    }
-  }
-
-  test("degeneracy equals brute-force max-min-degree") {
-    Check.forAllGraphs(40, 3, 8) { g =>
-      val (order, _) = g.degeneracyOrder
-      val removed = new Array[Boolean](g.n)
-      var degeneracy = 0
-      for (v <- order) {
-        degeneracy = math.max(degeneracy, g.adj(v).count(!removed(_)))
-        removed(v) = true
-      }
-      val brute = BruteForce
-        .subsets(g.n)
-        .map { s =>
-          val sub = g.inducedSubgraph(s)
-          s.map(sub.degree).min
-        }
-        .max
-      assert(degeneracy == brute)
     }
   }
 }

@@ -34,6 +34,13 @@ class HyperPeelingSpec extends AnyFunSuite {
     }
   }
 
+  test("edge peel kMax equals brute-force max-min-degree") {
+    Check.forAllGraphs(40, 3, 8) { g =>
+      val brute = BruteForce.subsets(g.n).map(s => s.map(v => g.adj(v).count(s.contains)).min).max
+      assert(HyperPeeling.peel(g.n, edgeInstances(g)).kMax == brute)
+    }
+  }
+
   test("peel best density is a lower bound on (and at least half of) the optimum") {
     Check.forAllGraphs(30, 3, 9) { g =>
       val pr = HyperPeeling.peel(g.n, edgeInstances(g))
