@@ -10,80 +10,226 @@ import scala.collection.mutable
   *   - the peeling method of [19]/[5] for clique/pattern density (Alg 2/4 line 1),
   *   - (k,h)-core and (k,ψ)-core membership (Alg 2/4 line 2, Definition 7),
   *   - the heuristic of §III-C's remark (innermost core + denser suffixes).
+  *
+  * It runs in two steps. [[decompose]] builds the node → instance incidence
+  * once and computes every core number by bucket peeling (Batagelj &
+  * Zaversnik, "An O(m) Algorithm for Cores Decomposition of Networks", 2003)
+  * in O(n + Σ|instance|), with no heap. [[Cores.peel]] then runs the exact
+  * peel (least current degree, then least id) on a primitive heap, but only
+  * on the t-core C_t, the nodes of core number ≥ t.
+  *
+  * Why the t-core's peel is the tail of the whole peel, and why
+  * t = [[Cores.bestSuffixCore]] loses no suffix the kernel reads:
+  *
+  *   - A node's core number is the largest degree at removal up to it, so
+  *     the min-degree peel removes nodes in non-decreasing core number. The
+  *     nodes of core < t go first, what remains is C_t, and the peel goes on
+  *     as C_t's own peel: its `order` and `suffixInstances` are the last
+  *     |C_t| entries of the whole peel's.
+  *   - A suffix S that starts at a node of core c < t is the (c+1)-core plus
+  *     some nodes X of shell c, and each node of X dies with at most c live
+  *     instances, so ρ(S) ≤ (I(C_{c+1}) + c|X|) / (|C_{c+1}| + |X|).
+  *   - Let ρ_t be the best suffix density inside C_t. The kMax-core is such
+  *     a suffix, so ρ_t ≥ ρ(C_kMax) > t − 1 ≥ c, as t = ⌈ρ(C_kMax)⌉. By
+  *     induction on c downward, ρ(C_{c+1}) ≤ ρ_t, and the bound above is a
+  *     mediant of it with c < ρ_t: strictly below ρ_t when X is non-empty.
+  *   - So the best density, its earliest suffix, ⌈ρ̃⌉ ≥ t and the
+  *     (⌈ρ̃⌉, ψ)-core all come out of C_t's peel unchanged.
   */
 object HyperPeeling {
 
-  /** Result of a full peel of `n` nodes against `instances`.
+  /** Core numbers of `n` nodes against `instances`, with the incidence that
+    * [[peel]] reuses. The nodes in some instance have local ids `0 until k`
+    * in order of first appearance (`local(v) - 1`; 0 marks an isolated
+    * node), so every array here but `local` is sized by k or by the
+    * instances, not by n.
     *
-    * `order(k)` is the k-th removed node, `suffixInstances(k)` the number of
-    * live instances just before removing it, and `coreNumber(v)` the usual
-    * monotone core number (max over prefixes of degree-at-removal).
+    * @param ids      the node of each local id
+    * @param incident the instances of local node l are
+    *                 `incident(start(l) until start(l + 1))`, in instance order
+    * @param core     core number by local id
+    * @param byCore   local ids in the decomposition's removal order, so in
+    *                 non-decreasing core number
+    * @param level    the least core number among each instance's nodes
     */
-  final case class PeelResult(
-      n: Int,
-      order: Array[Int],
-      coreNumber: Array[Int],
-      suffixInstances: Array[Long],
+  final class Cores private[HyperPeeling] (
+      val n: Int,
+      instances: Array[Array[Int]],
+      local: Array[Int],
+      ids: Array[Int],
+      start: Array[Int],
+      incident: Array[Int],
+      core: Array[Int],
+      byCore: Array[Int],
+      level: Array[Int],
   ) {
+    private def k = ids.length
 
-    /** Best suffix density as an exact rational (numerator, denominator);
-      * (0, 1) for an instance-free graph.
+    def coreNumber(v: Int): Int = if (local(v) == 0) 0 else core(local(v) - 1)
+
+    /** Maximum core number (0 for an instance-free graph). */
+    val kMax: Int = if (k == 0) 0 else core(byCore(k - 1))
+
+    /** Index in `byCore` of the first node of core number ≥ `t`. */
+    private def firstOfCore(t: Int): Int = {
+      var from = k
+      while (from > 0 && core(byCore(from - 1)) >= t) from -= 1
+      from
+    }
+
+    /** t = ⌈I(C_kMax) / |C_kMax|⌉, the kMax-core's instance density rounded
+      * up: the t-core's peel holds the best suffix (see [[HyperPeeling]]).
+      * 1 ≤ t ≤ kMax when there are instances, and 0 when there are none.
       */
-    def bestDensity: (Long, Long) = {
-      var bn = 0L; var bd = 1L
+    val bestSuffixCore: Int =
+      if (k == 0) 0
+      else {
+        val size = k - firstOfCore(kMax)
+        val inside = instancesFrom(kMax)
+        (inside + size - 1) / size
+      }
+
+    /** The number of instances whose nodes all have core number ≥ `c`. */
+    private def instancesFrom(c: Int): Int = {
+      var count = 0
+      var i = 0
+      while (i < level.length) { if (level(i) >= c) count += 1; i += 1 }
+      count
+    }
+
+    /** The instances whose nodes all have core number ≥ `c`, in order. */
+    def coreInstances(c: Long): Array[Array[Int]] = {
+      val out = mutable.ArrayBuilder.make[Array[Int]]
+      var i = 0
+      while (i < level.length) { if (level(i) >= c) out += instances(i); i += 1 }
+      out.result()
+    }
+
+    /** The exact peel of the t-core: each step removes the node of least
+      * current degree inside C_t, the least id among equals. At t = 0 the
+      * t-core is every node, and the isolated ones come first in id order.
+      */
+    def peel(t: Int): PeelResult = {
+      val from = firstOfCore(t)
+      val isolated = if (t == 0) n - k else 0
+      val size = isolated + k - from
+      val order = new Array[Int](size)
+      val suffix = new Array[Long](size)
+      var live = instancesFrom(t).toLong
+      var j = 0
+      if (isolated > 0) {
+        var v = 0
+        while (v < n) {
+          if (local(v) == 0) { suffix(j) = live; order(j) = v; j += 1 }
+          v += 1
+        }
+      }
+      // Degrees inside C_t. At most one push per incidence inside it.
+      val deg = new Array[Int](k)
+      var pushes = 0
+      var p = from
+      while (p < k) {
+        val l = byCore(p)
+        var c = start(l)
+        while (c < start(l + 1)) { if (level(incident(c)) >= t) deg(l) += 1; c += 1 }
+        pushes += deg(l)
+        p += 1
+      }
+      // The rest by key deg << 32 | id. Degrees only fall, so a node's entry
+      // is current iff its degree still equals the key's; stale ones are
+      // skipped when they surface.
+      val heap = new LongHeap(k - from + pushes)
+      p = from
+      while (p < k) { val l = byCore(p); heap.add(deg(l).toLong << 32 | ids(l)); p += 1 }
+      heap.heapify()
+      val removed = new Array[Boolean](k)
+      val dead = new Array[Boolean](instances.length)
+      while (j < size) {
+        var l = -1
+        while (l < 0) {
+          val top = heap.poll()
+          val cand = local(top.toInt) - 1
+          if (!removed(cand) && (top >>> 32) == deg(cand)) l = cand
+        }
+        suffix(j) = live
+        removed(l) = true
+        order(j) = ids(l); j += 1
+        var c = start(l)
+        while (c < start(l + 1)) {
+          val i = incident(c)
+          if (level(i) >= t && !dead(i)) {
+            dead(i) = true
+            live -= 1
+            val s = instances(i); var x = 0
+            while (x < s.length) {
+              val w = local(s(x)) - 1
+              if (!removed(w)) { deg(w) -= 1; heap.push(deg(w).toLong << 32 | s(x)) }
+              x += 1
+            }
+          }
+          c += 1
+        }
+      }
+      PeelResult(this, order, suffix)
+    }
+  }
+
+  /** The peel of a t-core (see [[Cores.peel]]): `order(k)` is the k-th
+    * removed node and `suffixInstances(k)` the number of live instances of
+    * the t-core just before removing it.
+    */
+  final case class PeelResult(cores: Cores, order: Array[Int], suffixInstances: Array[Long]) {
+
+    /** Best suffix density (numerator, denominator) and the earliest suffix
+      * start reaching it; (0, 1) and 0 without instances.
+      */
+    private def best: (Long, Long, Int) = {
+      var bn = 0L; var bd = 1L; var b = 0
       var k = 0
-      while (k < n) {
-        val num = suffixInstances(k); val den = (n - k).toLong
-        if (num * bd > bn * den) { bn = num; bd = den }
+      while (k < order.length) {
+        val num = suffixInstances(k); val den = (order.length - k).toLong
+        if (num * bd > bn * den) { bn = num; bd = den; b = k }
         k += 1
       }
-      (bn, bd)
+      (bn, bd, b)
     }
 
-    /** Node mask of the best-density suffix (the peeling's candidate). */
-    def bestSuffixNodes: Array[Boolean] = {
-      val (bn, bd) = bestDensity
-      var k = 0
-      var best = 0
-      while (k < n) {
-        if (suffixInstances(k) * bd == bn * (n - k).toLong) { best = k; k = n }
-        else k += 1
-      }
-      val keep = new Array[Boolean](n)
-      var i = best
-      while (i < n) { keep(order(i)) = true; i += 1 }
-      keep
-    }
+    /** Best suffix density as an exact rational (numerator, denominator). */
+    def bestDensity: (Long, Long) = { val (bn, bd, _) = best; (bn, bd) }
 
-    /** Mask of the (k,·)-core: nodes with core number >= k. */
-    def coreAtLeast(k: Long): Array[Boolean] = coreNumber.map(_.toLong >= k)
-
-    /** Maximum core number. */
-    def kMax: Int = if (n == 0) 0 else coreNumber.max
+    /** The nodes of the earliest best-density suffix (the peeling's
+      * candidate), in removal order.
+      */
+    def bestSuffixNodes: Array[Int] = order.drop(best._3)
 
     /** Mask of the innermost core (core number == kMax). */
-    def innermost: Array[Boolean] = { val km = kMax; coreNumber.map(_ == km) }
+    def innermost: Array[Boolean] = {
+      val km = cores.kMax
+      Array.tabulate(cores.n)(cores.coreNumber(_) == km)
+    }
 
-    /** §III-C heuristic: the innermost core plus every peel suffix strictly
-      * denser than it, as node masks (densest first by density).
+    /** §III-C heuristic on the whole peel (t = 0): the innermost core plus
+      * every peel suffix strictly denser than it, as node masks (densest
+      * first by density).
       */
     def heuristicDenseSubgraphs: Seq[Array[Boolean]] = {
+      val len = order.length
       val inner = innermost
       val innerCount = inner.count(identity)
       // Density of the innermost core suffix: find the first peel step whose
       // remaining node set is exactly the innermost core.
-      val innerStart = n - innerCount
-      val innerNum = if (innerStart < n) suffixInstances(innerStart) else 0L
+      val innerStart = len - innerCount
+      val innerNum = if (innerStart < len) suffixInstances(innerStart) else 0L
       val innerDen = math.max(1L, innerCount.toLong)
       val out = mutable.ArrayBuffer.empty[(Array[Boolean], Long, Long)]
       out += ((inner, innerNum, innerDen))
       var k = 0
-      while (k < n) {
-        val num = suffixInstances(k); val den = (n - k).toLong
+      while (k < len) {
+        val num = suffixInstances(k); val den = (len - k).toLong
         if (num * innerDen > innerNum * den) {
-          val keep = new Array[Boolean](n)
+          val keep = new Array[Boolean](cores.n)
           var i = k
-          while (i < n) { keep(order(i)) = true; i += 1 }
+          while (i < len) { keep(order(i)) = true; i += 1 }
           out += ((keep, num, den))
         }
         k += 1
@@ -92,83 +238,92 @@ object HyperPeeling {
     }
   }
 
-  /** Peel all `n` nodes against `instances` (node-id sets, ids < n). Each
-    * step removes the node of least current degree, the least id among
-    * equals.
-    */
-  def peel(n: Int, instances: Array[Array[Int]]): PeelResult = {
+  /** Core numbers of `n` nodes against `instances` (node-id sets, ids < n). */
+  def decompose(n: Int, instances: Array[Array[Int]]): Cores = {
     val nInst = instances.length
-    val deg = new Array[Int](n)
+    val local = new Array[Int](n)
+    var k = 0
     var i = 0
     while (i < nInst) {
       val s = instances(i); var j = 0
-      while (j < s.length) { deg(s(j)) += 1; j += 1 }
+      while (j < s.length) { if (local(s(j)) == 0) { k += 1; local(s(j)) = k }; j += 1 }
       i += 1
     }
-    // Node → instance incidence: the instances of v are
-    // incident(start(v) until start(v + 1)), in instance order.
-    val start = new Array[Int](n + 1)
-    var v = 0
-    while (v < n) { start(v + 1) = start(v) + deg(v); v += 1 }
-    val incident = new Array[Int](start(n))
-    val fill = java.util.Arrays.copyOf(start, n)
+    val ids = new Array[Int](k)
+    val deg = new Array[Int](k)
     i = 0
     while (i < nInst) {
       val s = instances(i); var j = 0
-      while (j < s.length) { incident(fill(s(j))) = i; fill(s(j)) += 1; j += 1 }
+      while (j < s.length) { val l = local(s(j)) - 1; ids(l) = s(j); deg(l) += 1; j += 1 }
       i += 1
     }
-    val alive = Array.fill(nInst)(true)
-    val removed = new Array[Boolean](n)
-    val order = new Array[Int](n)
-    val coreNumber = new Array[Int](n)
-    val suffix = new Array[Long](n)
-    var live = nInst.toLong
-    var k = 0
-    // Nodes of degree 0 come first, in id order, and never change.
-    v = 0
-    while (v < n) {
-      if (deg(v) == 0) { suffix(k) = live; removed(v) = true; order(k) = v; k += 1 }
-      v += 1
+    val start = new Array[Int](k + 1)
+    var l = 0
+    var maxDeg = 0
+    while (l < k) { start(l + 1) = start(l) + deg(l); maxDeg = math.max(maxDeg, deg(l)); l += 1 }
+    val incident = new Array[Int](start(k))
+    val fill = java.util.Arrays.copyOf(start, k)
+    i = 0
+    while (i < nInst) {
+      val s = instances(i); var j = 0
+      while (j < s.length) { val l = local(s(j)) - 1; incident(fill(l)) = i; fill(l) += 1; j += 1 }
+      i += 1
     }
-    // The rest by key deg << 32 | v. Degrees only fall, so a node's entry
-    // is current iff its degree still equals the key's; stale ones are
-    // skipped when they surface. At most one push per incidence.
-    val heap = new LongHeap(n - k + incident.length)
-    v = 0
-    while (v < n) { if (deg(v) > 0) heap.add(deg(v).toLong << 32 | v); v += 1 }
-    heap.heapify()
-    var core = 0
-    while (k < n) {
-      v = -1
-      while (v < 0) {
-        val top = heap.poll()
-        val cand = top.toInt
-        if (!removed(cand) && (top >>> 32) == deg(cand)) v = cand
-      }
-      suffix(k) = live
-      core = math.max(core, deg(v))
-      coreNumber(v) = core
-      removed(v) = true
-      order(k) = v; k += 1
+
+    // Bucket sort by degree: byCore(bin(d) until bin(d + 1)) holds the
+    // nodes of current degree d, and pos(l) is l's place in byCore.
+    val bin = new Array[Int](maxDeg + 2)
+    l = 0
+    while (l < k) { bin(deg(l) + 1) += 1; l += 1 }
+    var d = 0
+    while (d <= maxDeg) { bin(d + 1) += bin(d); d += 1 }
+    val byCore = new Array[Int](k)
+    val pos = new Array[Int](k)
+    l = 0
+    while (l < k) { pos(l) = bin(deg(l)); byCore(pos(l)) = l; bin(deg(l)) += 1; l += 1 }
+    d = maxDeg
+    while (d > 0) { bin(d) = bin(d - 1); d -= 1 }
+    bin(0) = 0
+    // Remove nodes in bucket order. Removing l (degree d, its core number)
+    // kills its live instances; each other node w of those, with degree
+    // above d, drops one degree: it moves to the front of its bucket, which
+    // then starts one place later. Degrees never fall below d, so deg ends
+    // as the core numbers.
+    val level = new Array[Int](nInst)
+    java.util.Arrays.fill(level, -1)
+    var p = 0
+    while (p < k) {
+      val v = byCore(p)
+      val dv = deg(v)
       var c = start(v)
       while (c < start(v + 1)) {
-        val i = incident(c)
-        if (alive(i)) {
-          alive(i) = false
-          live -= 1
-          val s = instances(i); var j = 0
+        val ii = incident(c)
+        if (level(ii) < 0) {
+          level(ii) = dv
+          val s = instances(ii); var j = 0
           while (j < s.length) {
-            val w = s(j)
-            if (!removed(w)) { deg(w) -= 1; heap.push(deg(w).toLong << 32 | w) }
+            val w = local(s(j)) - 1
+            val dw = deg(w)
+            if (dw > dv) {
+              val pw = pos(w); val pf = bin(dw); val u = byCore(pf)
+              if (u != w) { byCore(pw) = u; pos(u) = pw; byCore(pf) = w; pos(w) = pf }
+              bin(dw) += 1
+              deg(w) = dw - 1
+            }
             j += 1
           }
         }
         c += 1
       }
+      p += 1
     }
-    PeelResult(n, order, coreNumber, suffix)
+    new Cores(n, instances, local, ids, start, incident, deg, byCore, level)
   }
+
+  /** Peel all `n` nodes against `instances` (node-id sets, ids < n): the
+    * whole min-degree order, the t = 0 case of [[Cores.peel]].
+    */
+  def peel(n: Int, instances: Array[Array[Int]]): PeelResult = decompose(n, instances).peel(0)
 
   /** Binary min-heap of primitive longs with a fixed capacity. */
   private final class LongHeap(capacity: Int) {

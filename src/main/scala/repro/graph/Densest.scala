@@ -38,16 +38,18 @@ object Densest {
     * step: a maximum flow at α = ρ*, whose residual holds every densest
     * subgraph. Network node ids: 0 = s, 1 = t, i + 2 for `nodes(i)`.
     */
-  final case class Optimum(num: Long, den: Long, witness: Array[Boolean], net: FlowNetwork, nodes: Array[Int])
+  final case class Optimum(num: Long, den: Long, witness: Array[Int], net: FlowNetwork, nodes: Array[Int])
 
   private def gcd(a: Long, b: Long): Long = if (b == 0) math.max(a, 1) else gcd(b, a % b)
 
   /** All densest subgraphs for the instances `inst` (node sets, ids < n),
     * up to `cap` of them (Algorithms 1–4 and 7).
     *
-    * Lines 1–3 peel `inst` once. An edge, h-clique or (non-induced)
-    * ψ-instance lies in a node set U iff its nodes do, so the instances of
-    * the (⌈ρ̃⌉, ψ)-core are the entries of `inst` whose nodes all have core
+    * Lines 1–2 peel only the t-core that holds the best peel suffix (see
+    * [[HyperPeeling]]): the same ρ̃, (⌈ρ̃⌉, ψ)-core and Dinkelbach start as
+    * peeling every node. An edge, h-clique or (non-induced) ψ-instance lies
+    * in a node set U iff its nodes do, so the instances of the
+    * (⌈ρ̃⌉, ψ)-core are the entries of `inst` whose nodes all have core
     * number ≥ ⌈ρ̃⌉, kept in `inst`'s order; none is enumerated again.
     */
   def allDensest(n: Int, inst: Array[Array[Int]], cap: Int): World = {
@@ -55,13 +57,13 @@ object Densest {
 
     // Lines 1-2: peeling lower bound ρ̃ and the (⌈ρ̃⌉, ψ)-core, which holds
     // every densest subgraph.
-    val pr = HyperPeeling.peel(n, inst)
+    val cores = HyperPeeling.decompose(n, inst)
+    val pr = cores.peel(cores.bestSuffixCore)
     val (a, b) = pr.bestDensity
-    val core = pr.coreAtLeast((a + b - 1) / b)
 
     // Line 3: the core's instances, grouped by node set; line 4: ρ*.
-    val (sets, counts) = Pattern.groups(inst.filter(_.forall(core)))
-    val opt = maxDensity(n, sets, counts.map(_.toLong), pr.bestSuffixNodes)
+    val (sets, counts) = Pattern.groups(cores.coreInstances((a + b - 1) / b))
+    val opt = maxDensity(sets, counts.map(_.toLong), pr.bestSuffixNodes)
 
     // Lines 5-8: residual SCCs of the flow at ρ*, then Algorithm 3.
     val vOf = (id: Int) => if (id >= 2 && id < opt.nodes.length + 2) opt.nodes(id - 2) else -1
@@ -69,20 +71,31 @@ object Densest {
     World(e.all, e.capped, e.maxSized, opt.num, opt.den)
   }
 
-  /** Exact maximum density of instances `sets` (node sets of one size q,
-    * ids < n) with positive integer weights, by Dinkelbach iteration whose
-    * first guess is the density of the node set `start`. The network holds
-    * the nodes of positive weighted degree.
+  /** Exact maximum density of instances `sets` (node sets of one size q)
+    * with positive integer weights, by Dinkelbach iteration whose first
+    * guess is the density of the node set `start` (distinct ids). The
+    * network holds the distinct nodes of `sets` in ascending id order, so
+    * its size, and the work here, follow the instances, not the id range.
     */
-  def maxDensity(n: Int, sets: Array[Array[Int]], weights: Array[Long], start: Array[Boolean]): Optimum = {
+  def maxDensity(sets: Array[Array[Int]], weights: Array[Long], start: Array[Int]): Optimum = {
     val q = sets.headOption.fold(2L)(_.length.toLong)
     require(sets.forall(_.length == q), "instances must all have the same size")
     require(weights.forall(_ > 0), "instance weights must be positive")
-    val deg = new Array[Long](n)
-    for (i <- sets.indices; v <- sets(i)) deg(v) += weights(i)
-    val nodes = (0 until n).filter(deg(_) > 0).toArray
-    val id = Array.fill(n)(-1)
-    for (i <- nodes.indices) id(nodes(i)) = i + 2
+    val flat = new Array[Int](q.toInt * sets.length)
+    for (i <- sets.indices) System.arraycopy(sets(i), 0, flat, i * q.toInt, q.toInt)
+    java.util.Arrays.sort(flat)
+    var distinct = 0
+    var j = 0
+    while (j < flat.length) {
+      if (distinct == 0 || flat(distinct - 1) != flat(j)) { flat(distinct) = flat(j); distinct += 1 }
+      j += 1
+    }
+    val nodes = java.util.Arrays.copyOf(flat, distinct)
+    def id(v: Int): Int = java.util.Arrays.binarySearch(nodes, v) + 2
+    // The sets as network node ids, and each node's weighted degree.
+    val local = sets.map(_.map(id))
+    val deg = new Array[Long](nodes.length)
+    for (i <- sets.indices; x <- local(i)) deg(x - 2) += weights(i)
     val total = weights.sum
 
     // Algorithm 7's network, built once: only its capacities depend on the
@@ -95,44 +108,45 @@ object Densest {
     def pair(u: Int, v: Int, b: Long, a: Long, revB: Long): Unit = {
       ends(k) = u; ends(k + 1) = v; capB(k) = b; capA(k) = a; capB(k + 1) = revB; k += 2
     }
-    for (v <- nodes) {
-      pair(0, id(v), deg(v), 0L, 0L)
-      pair(id(v), 1, 0L, q, 0L)
+    for (i <- nodes.indices) {
+      pair(0, i + 2, deg(i), 0L, 0L)
+      pair(i + 2, 1, 0L, q, 0L)
     }
     for (gi <- sets.indices) {
       val w = weights(gi)
-      val s = sets(gi)
-      if (q == 2) pair(id(s(0)), id(s(1)), w, 0L, w)
+      val s = local(gi)
+      if (q == 2) pair(s(0), s(1), w, 0L, w)
       else {
         val gid = nodes.length + 2 + gi
-        for (v <- s) {
-          pair(id(v), gid, w, 0L, 0L)
-          pair(gid, id(v), w * (q - 1), 0L, 0L)
+        for (x <- s) {
+          pair(x, gid, w, 0L, 0L)
+          pair(gid, x, w * (q - 1), 0L, 0L)
         }
       }
     }
     val net = new FlowNetwork(nodes.length + 2 + (if (q == 2) 0 else sets.length), ends, capB, capA)
 
+    /** Total weight of the sets inside a mask over network node ids. */
     def weightInside(mask: Array[Boolean]): Long = {
       var c = 0L
-      for (i <- sets.indices; if sets(i).forall(mask)) c += weights(i)
+      for (i <- sets.indices; if local(i).forall(mask)) c += weights(i)
       c
     }
 
-    @tailrec def iterate(best: Array[Boolean], a: Long, b: Long): Optimum = {
+    @tailrec def iterate(best: Array[Int], a: Long, b: Long): Optimum = {
       val gg = gcd(a, b)
       net.setCapacities(a / gg, b / gg)
       if (net.maxFlow(0, 1) >= q * total * (b / gg)) Optimum(a / gg, b / gg, best, net, nodes)
       else {
         val cut = net.minCutSourceSide(0)
-        val v1 = new Array[Boolean](n)
-        for (i <- nodes.indices; if cut(i + 2)) v1(nodes(i)) = true
-        val w1 = weightInside(v1)
-        val n1 = v1.count(identity).toLong
-        require(n1 > 0 && w1 * b > a * n1, "Dinkelbach step must strictly improve")
-        iterate(v1, w1, n1)
+        val v1 = nodes.indices.filter(i => cut(i + 2)).map(nodes).toArray
+        val w1 = weightInside(cut)
+        require(v1.nonEmpty && w1 * b > a * v1.length, "Dinkelbach step must strictly improve")
+        iterate(v1, w1, v1.length.toLong)
       }
     }
-    iterate(start, weightInside(start), start.count(identity).toLong)
+    val inStart = new Array[Boolean](nodes.length + 2)
+    for (v <- start; x = id(v); if x >= 2) inStart(x) = true
+    iterate(start, weightInside(inStart), start.length.toLong)
   }
 }

@@ -14,8 +14,31 @@ final class Graph private (
     val n: Int,
     val edgeU: Array[Int],
     val edgeV: Array[Int],
-    val adj: Array[Array[Int]],
 ) extends Serializable {
+
+  /** Sorted adjacency lists, built on first use: the edge-density kernel
+    * reads only `edgeU` and `edgeV`, so its worlds never build them.
+    */
+  lazy val adj: Array[Array[Int]] = {
+    val deg = new Array[Int](n)
+    var i = 0
+    while (i < m) { deg(edgeU(i)) += 1; deg(edgeV(i)) += 1; i += 1 }
+    val adj = new Array[Array[Int]](n)
+    val none = new Array[Int](0)
+    var v = 0
+    while (v < n) { adj(v) = if (deg(v) == 0) none else new Array[Int](deg(v)); v += 1 }
+    val fill = new Array[Int](n)
+    i = 0
+    while (i < m) {
+      val u = edgeU(i); val v = edgeV(i)
+      adj(u)(fill(u)) = v; fill(u) += 1
+      adj(v)(fill(v)) = u; fill(v) += 1
+      i += 1
+    }
+    v = 0
+    while (v < n) { if (deg(v) > 1) java.util.Arrays.sort(adj(v)); v += 1 }
+    adj
+  }
 
   /** Number of edges. */
   def m: Int = edgeU.length
@@ -48,24 +71,5 @@ object Graph {
   /** Build from edges that are already canonical (`u < v`) and distinct,
     * kept in the given order.
     */
-  private[repro] def fromCanonicalEdges(n: Int, eu: Array[Int], ev: Array[Int]): Graph = {
-    val deg = new Array[Int](n)
-    var i = 0
-    while (i < eu.length) { deg(eu(i)) += 1; deg(ev(i)) += 1; i += 1 }
-    val adj = new Array[Array[Int]](n)
-    val none = new Array[Int](0)
-    var v = 0
-    while (v < n) { adj(v) = if (deg(v) == 0) none else new Array[Int](deg(v)); v += 1 }
-    val fill = new Array[Int](n)
-    i = 0
-    while (i < eu.length) {
-      val u = eu(i); val v = ev(i)
-      adj(u)(fill(u)) = v; fill(u) += 1
-      adj(v)(fill(v)) = u; fill(v) += 1
-      i += 1
-    }
-    v = 0
-    while (v < n) { if (deg(v) > 1) java.util.Arrays.sort(adj(v)); v += 1 }
-    new Graph(n, eu, ev, adj)
-  }
+  private[repro] def fromCanonicalEdges(n: Int, eu: Array[Int], ev: Array[Int]): Graph = new Graph(n, eu, ev)
 }

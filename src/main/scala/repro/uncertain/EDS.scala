@@ -22,19 +22,17 @@ object EDS {
     * weight). Instances whose weight rounds to 0 add nothing to any density
     * and are dropped.
     */
-  private def densest(n: Int, sets: Array[Array[Int]], weights: Array[Long]): Set[Int] = {
+  private def densest(sets: Array[Array[Int]], weights: Array[Long]): Set[Int] = {
     val keep = sets.indices.filter(weights(_) > 0).toArray
-    val start = new Array[Boolean](n)
-    for (i <- keep; v <- sets(i)) start(v) = true
-    val w = Densest.maxDensity(n, keep.map(sets), keep.map(weights), start).witness
-    (0 until n).filter(w(_)).toSet
+    val start = keep.flatMap(sets(_)).distinct
+    Densest.maxDensity(keep.map(sets), keep.map(weights), start).witness.toSet
   }
 
   /** Expected edge densest subgraph [44]. */
   def edge(g: UncertainGraph): Result = {
     val sets = Array.tabulate(g.m)(i => Array(g.edgeU(i), g.edgeV(i)))
     val w = g.prob.map(p => math.round(p * Scale))
-    val nodes = densest(g.n, sets, w)
+    val nodes = densest(sets, w)
     Result(nodes, expectedEdgeDensity(g, nodes))
   }
 
@@ -47,7 +45,7 @@ object EDS {
       p
     }
     val w = cliques.map(c => math.round(cliqueProb(c) * Scale))
-    val nodes = densest(g.n, cliques, w)
+    val nodes = densest(cliques, w)
     val ed =
       if (nodes.isEmpty) 0.0
       else cliques.toSeq.collect { case c if c.forall(nodes.contains) => cliqueProb(c) }.sum / nodes.size
@@ -67,7 +65,7 @@ object EDS {
     }
     val sets = embs.map(_._1)
     val w = embs.map(e => math.round(embProb(e._2) * Scale))
-    val nodes = densest(g.n, sets, w)
+    val nodes = densest(sets, w)
     val ed =
       if (nodes.isEmpty) 0.0
       else embs.toSeq.collect { case (s, e) if s.forall(nodes.contains) => embProb(e) }.sum / nodes.size

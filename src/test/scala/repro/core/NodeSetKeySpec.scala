@@ -22,6 +22,21 @@ class NodeSetKeySpec extends AnyFunSuite {
     check(Prop.forAll(nodeSet)(s => NodeSetKey.parse(NodeSetKey.of(s)) == s.sorted))
     assert(NodeSetKey.of(Seq.empty).isEmpty && NodeSetKey.parse(Array.empty).isEmpty)
     assert(NodeSetKey.parse(NodeSetKey.of(Seq(Int.MaxValue, 7, 0))) == Seq(0, 7, Int.MaxValue))
+    // parse inverts of on keys: re-encoding a decoded key gives it back.
+    check(Prop.forAll(nodeSet) { s =>
+      val key = NodeSetKey.of(s)
+      NodeSetKey.of(NodeSetKey.parse(key)).sameElements(key)
+    })
+  }
+
+  test("each id is a length byte and its significant big-endian bytes") {
+    def bytes(ids: Int*) = NodeSetKey.of(ids).map(_ & 0xff).toSeq
+    assert(bytes(0) == Seq(0))
+    assert(bytes(33, 1) == Seq(1, 1, 1, 33))
+    assert(bytes(255, 256) == Seq(1, 255, 2, 1, 0))
+    assert(bytes(Int.MaxValue) == Seq(4, 127, 255, 255, 255))
+    // Ids of a 34-node graph take 2 bytes each, half of a fixed 4-byte int.
+    assert(NodeSetKey.of(1 to 33).length == 2 * 33)
   }
 
   test("unsigned byte order of keys is the lexicographic order of sorted ids") {

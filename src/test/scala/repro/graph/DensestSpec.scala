@@ -24,9 +24,9 @@ class DensestSpec extends AnyFunSuite {
         assert(r.all.map(_.toSet).toSet == all && r.all.size == all.size, ctx)
         assert(r.maxSized.toSet == all.flatten, ctx)
         // The Dinkelbach step alone, on the drawn sets and their weights.
-        val opt = Densest.maxDensity(n, drawn, weights, Array.fill(n)(true))
+        val opt = Densest.maxDensity(drawn, weights, (0 until n).toArray)
         assert(opt.num == bn && opt.den == bd, ctx)
-        val w = (0 until n).filter(opt.witness(_)).toSet
+        val w = opt.witness.toSet
         assert(BruteForce.instancesInside(inst, w).toLong * bd == bn * w.size, ctx)
       }
     }

@@ -9,12 +9,12 @@ class EdgeDensestSpec extends AnyFunSuite {
   test("maxDensity matches brute force") {
     Check.forAllGraphs(60, 3, 9) { g =>
       val edges = Edge.instances(g)
-      val opt = Densest.maxDensity(g.n, edges, Array.fill(edges.length)(1L), Array.fill(g.n)(true))
+      val opt = Densest.maxDensity(edges, Array.fill(edges.length)(1L), (0 until g.n).toArray)
       val (a, b, witness) = (opt.num, opt.den, opt.witness)
       val (bn, bd, _) = BruteForce.allEdgeDensest(g)
       assert(a == bn && b == bd, s"got $a/$b expected $bn/$bd")
       if (g.m > 0) {
-        val s = (0 until g.n).filter(witness(_)).toSet
+        val s = witness.toSet
         assert(BruteForce.edgesInside(g, s).toLong * b == a * s.size.toLong)
       }
     }
