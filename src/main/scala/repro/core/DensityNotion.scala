@@ -5,7 +5,7 @@ import repro.graph._
 /** A density notion ρ (§II-A) together with the per-world subroutines
   * Algorithm 1/5 need: enumerate all densest subgraphs, the maximum-sized
   * densest subgraph, the optimal density, and the density of a given node
-  * set — plus the §III-C heuristic substitute.
+  * set — plus the §III-C heuristic substitute for the maximum-sized one.
   */
 sealed trait DensityNotion extends Serializable {
   def name: String
@@ -25,14 +25,15 @@ sealed trait DensityNotion extends Serializable {
     (cnt, nodes.size.toLong)
   }
 
-  /** §III-C heuristic: reasonably dense subgraphs from core decomposition
-    * (the innermost core and all denser peel suffixes).
+  /** §III-C heuristic: the union of the innermost core and every denser
+    * peel suffix, one suffix of the whole peel, as sorted ids (empty without
+    * instances).
     */
-  final def heuristicDense(g: Graph): Seq[Array[Int]] = {
-    val inst = instances(g)
-    if (inst.isEmpty) return Seq.empty
-    val pr = HyperPeeling.peel(g.n, inst)
-    pr.heuristicDenseSubgraphs.map(mask => (0 until g.n).filter(mask(_)).toArray)
+  final def heuristicDense(g: Graph): Array[Int] = {
+    val pr = HyperPeeling.peel(g.n, instances(g))
+    val nucleus = pr.order.drop(pr.heuristicStart)
+    java.util.Arrays.sort(nucleus)
+    nucleus
   }
 }
 
@@ -43,8 +44,7 @@ object DensityNotion {
 
   case object Edge extends DensityNotion {
     val name = "edge"
-    def instances(g: Graph): Array[Array[Int]] =
-      Array.tabulate(g.m)(i => Array(g.edgeU(i), g.edgeV(i)))
+    def instances(g: Graph): Array[Array[Int]] = Cliques.enumerate(g, 2)
   }
 
   final case class Clique(h: Int) extends DensityNotion {

@@ -49,20 +49,18 @@ object MPDS {
 
   /** The densest subgraphs of world `i` (Line 5 of Algorithm 1), at most `cap`, and whether the
     * world has more than `cap`. `allPerWorld = false` keeps one, drawn uniformly (the ablation of
-    * Table IX); `heuristic = true` takes the §III-C core-based subgraphs instead.
+    * Table IX).
     */
   private[core] def densest(notion: DensityNotion, cap: Int, allPerWorld: Boolean = true,
-      heuristic: Boolean = false, seed: Long = 1L): (Long, Graph) => (Seq[Array[Int]], Boolean) = {
+      seed: Long = 1L): (Long, Graph) => (Seq[Array[Int]], Boolean) = {
     // A capped world must keep a row to be counted.
     require(cap > 0, s"the cap on densest subgraphs per world must be positive, not $cap")
     (i, world) => {
-      val (sets, capped) =
-        if (heuristic) (notion.heuristicDense(world), false)
-        else { val d = notion.allDensest(world, cap); (d.all, d.capped) }
+      val d = notion.allDensest(world, cap)
       val chosen =
-        if (allPerWorld || sets.isEmpty) sets
-        else Seq(sets(Rnd.forWorld(seed ^ 0x5DEECE66DL, i).nextInt(sets.length)))
-      (chosen, capped)
+        if (allPerWorld || d.all.isEmpty) d.all
+        else Seq(d.all(Rnd.forWorld(seed ^ 0x5DEECE66DL, i).nextInt(d.all.length)))
+      (chosen, d.capped)
     }
   }
 
@@ -77,11 +75,9 @@ object MPDS {
       sampler: WorldSampler = WorldSampler.MonteCarlo,
       seed: Long = 1L,
       allPerWorld: Boolean = true,
-      heuristic: Boolean = false,
       capPerWorld: Int = 100000,
   ): DataFrame =
-    setRows(spark, g, Worlds.Sampled(theta, sampler, seed))(
-      densest(notion, capPerWorld, allPerWorld, heuristic, seed))
+    setRows(spark, g, Worlds.Sampled(theta, sampler, seed))(densest(notion, capPerWorld, allPerWorld, seed))
 
   /** (nodeSet, freq, tau) per node set: `freq` counts its rows, and `tau` is `freq` over `total`
     * (θ: τ̂ = freq / θ), or the sum of the rows' `weight` over `total` when they carry one.
@@ -109,12 +105,11 @@ object MPDS {
       sampler: WorldSampler = WorldSampler.MonteCarlo,
       seed: Long = 1L,
       allPerWorld: Boolean = true,
-      heuristic: Boolean = false,
       capPerWorld: Int = 100000,
   ): Result = {
     val capped = Observation()
     val candidates = Observation()
-    val rows = candidateSets(spark, g, notion, theta, sampler, seed, allPerWorld, heuristic, capPerWorld)
+    val rows = candidateSets(spark, g, notion, theta, sampler, seed, allPerWorld, capPerWorld)
       .observe(capped, count_if(col("capped")).as("n"))
     val tau = tauHatDF(rows, theta).observe(candidates, count(lit(1)).as("n"))
     val topK = top(tau, k).map { case (nodes, t) => Candidate(nodes, t) }

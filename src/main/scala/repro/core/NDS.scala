@@ -23,9 +23,9 @@ object NDS {
   final case class Result(topK: Seq[Nucleus], transactions: Seq[Set[Int]], truncated: Boolean)
 
   /** The per-world candidate (Line 4). With `heuristic = true`, the
-    * §III-C core-based substitute: the union of the innermost core and all
-    * denser peel suffixes (they are nested, so this is the largest of them)
-    * stands in for the maximum-sized densest subgraph.
+    * §III-C core-based substitute stands in for the maximum-sized densest
+    * subgraph: the union of the innermost core and all denser peel suffixes,
+    * which is one peel suffix ([[DensityNotion.heuristicDense]]).
     */
   def transactions(
       spark: SparkSession,
@@ -40,7 +40,7 @@ object NDS {
     Worlds.Sampled(theta, sampler, seed)
       .flatMap(spark, g) { (_, _, world) =>
         Iterator.single(
-          if (heuristic) notion.heuristicDense(world).flatten.distinct.sorted.toArray
+          if (heuristic) notion.heuristicDense(world)
           else notion.allDensest(world, 1).maxSized)
       }
       .collect().toSeq.map(_.toSet)

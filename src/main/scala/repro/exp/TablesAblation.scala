@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.core.{DensityNotion, MPDS}
 import repro.data.Datasets
-import repro.graph.Pattern
+import repro.graph.{Cliques, HyperPeeling, Pattern}
 import repro.uncertain.{EDS, Metrics, UncertainCore, UncertainTruss}
 import Harness._
 
@@ -86,8 +86,7 @@ object TableX {
     // EDS "top-k": distinct peel suffixes of the expected graph ranked by
     // expected density (documented stand-in for a top-k expected-densest
     // enumeration, which [44] does not define).
-    val pr = repro.graph.HyperPeeling.peel(g.n,
-      Array.tabulate(g.m)(i => Array(g.edgeU(i), g.edgeV(i))))
+    val pr = HyperPeeling.peel(g.n, Cliques.enumerate(g.deterministic, 2))
     val edsRanked = (0 until g.n).map { start =>
       (start until g.n).map(pr.order).toSet
     }.distinct

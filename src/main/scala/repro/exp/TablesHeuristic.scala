@@ -4,7 +4,28 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{DensityNotion, MPDS, NDS}
 import repro.data.Datasets
 import repro.graph.Pattern
+import repro.uncertain.UncertainGraph
 import Harness._
+
+/** Tables XI and XII: approximate, then heuristic NDS of `g`, each timed
+  * and scored by γ̂ of its top nucleus on the worlds of `gammaSeed`.
+  */
+private object HeuristicNDS {
+
+  /** ((γ̂, ms) of approximate NDS, (γ̂, ms) of heuristic NDS). */
+  def compare(spark: SparkSession, g: UncertainGraph, notion: DensityNotion, theta: Int, seed: Long,
+      gammaSeed: Long): ((Double, Long), (Double, Long)) = {
+    def once(heuristic: Boolean): (Double, Long) = {
+      val (r, ms) = time(NDS.run(spark, g, notion, k = 1, lm = 2, theta = theta, seed = seed, heuristic = heuristic))
+      val gamma = r.topK.headOption.map { top =>
+        MPDS.estimateGamma(spark, g, notion, Seq(top.nodes.toSet), theta, seed = gammaSeed).head
+      }.getOrElse(0.0)
+      (gamma, ms)
+    }
+    val approx = once(heuristic = false)
+    (approx, once(heuristic = true))
+  }
+}
 
 /** Table XI — approximate vs heuristic Pattern-NDS on Karate Club:
   * containment probability of the top nucleus and running time, for the
@@ -14,17 +35,7 @@ object TableXI {
   def run(spark: SparkSession, theta: Int = 320): Table = {
     val g = Datasets.karate()
     val rows = Pattern.all.map { psi =>
-      val notion = DensityNotion.Pat(psi)
-      def once(heuristic: Boolean): (Double, Long) = {
-        val (r, ms) = time(NDS.run(spark, g, notion, k = 1, lm = 2, theta = theta,
-          seed = 501L, heuristic = heuristic))
-        val gamma = r.topK.headOption.map { top =>
-          MPDS.estimateGamma(spark, g, notion, Seq(top.nodes.toSet), theta, seed = 907L).head
-        }.getOrElse(0.0)
-        (gamma, ms)
-      }
-      val (ga, ta) = once(heuristic = false)
-      val (gh, th) = once(heuristic = true)
+      val ((ga, ta), (gh, th)) = HeuristicNDS.compare(spark, g, DensityNotion.Pat(psi), theta, 501L, 907L)
       Seq(psi.name, f3(ga), f3(gh), secs(ta), secs(th))
     }
     Table(s"Table XI: approximate vs heuristic Pattern-NDS (Karate Club, theta=$theta)",
@@ -39,17 +50,7 @@ object TableXI {
 object TableXII {
   def run(spark: SparkSession, theta: Int = 64): Table = {
     val g = Datasets.friendsterLike()
-    val notion = DensityNotion.Edge
-    def once(heuristic: Boolean): (Double, Long) = {
-      val (r, ms) = time(NDS.run(spark, g, notion, k = 1, lm = 2, theta = theta,
-        seed = 503L, heuristic = heuristic))
-      val gamma = r.topK.headOption.map { top =>
-        MPDS.estimateGamma(spark, g, notion, Seq(top.nodes.toSet), theta, seed = 909L).head
-      }.getOrElse(0.0)
-      (gamma, ms)
-    }
-    val (ga, ta) = once(heuristic = false)
-    val (gh, th) = once(heuristic = true)
+    val ((ga, ta), (gh, th)) = HeuristicNDS.compare(spark, g, DensityNotion.Edge, theta, 503L, 909L)
     Table(s"Table XII: approximate vs heuristic Edge-NDS (Friendster-like, theta=$theta)",
       Seq("method", "Containment prob", "Running time s"),
       Seq(Seq("Approximate", f3(ga), secs(ta)), Seq("Heuristic", f3(gh), secs(th))))

@@ -9,7 +9,8 @@ import scala.collection.mutable
   *   - Charikar's peeling lower bound for edge density [2] (instances=edges),
   *   - the peeling method of [19]/[5] for clique/pattern density (Alg 2/4 line 1),
   *   - (k,h)-core and (k,ψ)-core membership (Alg 2/4 line 2, Definition 7),
-  *   - the heuristic of §III-C's remark (innermost core + denser suffixes).
+  *   - the heuristic of §III-C's remark (innermost core + denser suffixes),
+  *     one suffix of the whole peel ([[PeelResult.heuristicStart]]).
   *
   * It runs in two steps. [[decompose]] builds the node → instance incidence
   * once and computes every core number by bucket peeling (Batagelj &
@@ -70,6 +71,11 @@ object HyperPeeling {
     /** Maximum core number (0 for an instance-free graph). */
     val kMax: Int = if (k == 0) 0 else core(byCore(k - 1))
 
+    /** |C_kMax|, the nodes of core number kMax that lie in some instance
+      * (0 for an instance-free graph).
+      */
+    private[HyperPeeling] val innermostSize: Int = k - firstOfCore(kMax)
+
     /** Index in `byCore` of the first node of core number ≥ `t`. */
     private def firstOfCore(t: Int): Int = {
       var from = k
@@ -82,12 +88,7 @@ object HyperPeeling {
       * 1 ≤ t ≤ kMax when there are instances, and 0 when there are none.
       */
     val bestSuffixCore: Int =
-      if (k == 0) 0
-      else {
-        val size = k - firstOfCore(kMax)
-        val inside = instancesFrom(kMax)
-        (inside + size - 1) / size
-      }
+      if (k == 0) 0 else (instancesFrom(kMax) + innermostSize - 1) / innermostSize
 
     /** The number of instances whose nodes all have core number ≥ `c`. */
     private def instancesFrom(c: Int): Int = {
@@ -202,39 +203,29 @@ object HyperPeeling {
       */
     def bestSuffixNodes: Array[Int] = order.drop(best._3)
 
-    /** Mask of the innermost core (core number == kMax). */
-    def innermost: Array[Boolean] = {
-      val km = cores.kMax
-      Array.tabulate(cores.n)(cores.coreNumber(_) == km)
-    }
-
-    /** §III-C heuristic on the whole peel (t = 0): the innermost core plus
-      * every peel suffix strictly denser than it, as node masks (densest
-      * first by density).
+    /** Start in `order` of the §III-C heuristic nucleus, for the whole peel
+      * (t = 0): the union of the innermost core C_kMax and every suffix
+      * strictly denser than it, which is the suffix from the returned index.
+      *
+      *   - The peel removes nodes in non-decreasing core number (see
+      *     [[HyperPeeling]]), so C_kMax is the last |C_kMax| entries of
+      *     `order`: a suffix, starting at len − |C_kMax|.
+      *   - Every other member is a suffix too, and suffixes are nested, so
+      *     their union is the earliest of them: the earlier of C_kMax's start
+      *     and the first suffix strictly denser than C_kMax.
+      *
+      * Without instances the nucleus is empty: the start is len.
       */
-    def heuristicDenseSubgraphs: Seq[Array[Boolean]] = {
+    def heuristicStart: Int = {
       val len = order.length
-      val inner = innermost
-      val innerCount = inner.count(identity)
-      // Density of the innermost core suffix: find the first peel step whose
-      // remaining node set is exactly the innermost core.
-      val innerStart = len - innerCount
-      val innerNum = if (innerStart < len) suffixInstances(innerStart) else 0L
-      val innerDen = math.max(1L, innerCount.toLong)
-      val out = mutable.ArrayBuffer.empty[(Array[Boolean], Long, Long)]
-      out += ((inner, innerNum, innerDen))
-      var k = 0
-      while (k < len) {
-        val num = suffixInstances(k); val den = (len - k).toLong
-        if (num * innerDen > innerNum * den) {
-          val keep = new Array[Boolean](cores.n)
-          var i = k
-          while (i < len) { keep(order(i)) = true; i += 1 }
-          out += ((keep, num, den))
-        }
-        k += 1
+      val inner = len - cores.innermostSize
+      if (inner == len) len
+      else {
+        val num = suffixInstances(inner); val den = (len - inner).toLong
+        var k = 0
+        while (k < inner && suffixInstances(k) * den <= num * (len - k)) k += 1
+        k
       }
-      out.sortBy { case (_, num, den) => -num.toDouble / den }.map(_._1).toSeq
     }
   }
 

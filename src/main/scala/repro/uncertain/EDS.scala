@@ -30,9 +30,8 @@ object EDS {
 
   /** Expected edge densest subgraph [44]. */
   def edge(g: UncertainGraph): Result = {
-    val sets = Array.tabulate(g.m)(i => Array(g.edgeU(i), g.edgeV(i)))
     val w = g.prob.map(p => math.round(p * Scale))
-    val nodes = densest(sets, w)
+    val nodes = densest(Cliques.enumerate(g.deterministic, 2), w)
     Result(nodes, expectedEdgeDensity(g, nodes))
   }
 

@@ -54,20 +54,18 @@ class DensityNotionSpec extends AnyFunSuite {
   test("heuristicDense returns non-empty dense subgraphs when instances exist") {
     Check.forAllGraphs(15, 4, 8) { g =>
       for (n <- notions) {
-        val subs = n.heuristicDense(g)
+        val nucleus = n.heuristicDense(g)
+        assert(nucleus.toSeq == nucleus.sorted.distinct.toSeq, n.name)
         if (n.instances(g).nonEmpty) {
-          assert(subs.nonEmpty, n.name)
-          // The best heuristic subgraph achieves at least 1/|V_psi| of the
-          // optimum density (the §III-C guarantee).
+          assert(nucleus.nonEmpty, n.name)
+          // The nucleus achieves at least 1/|V_psi| of the optimum density
+          // (the §III-C guarantee): ρ(nucleus) ≥ ρ(C_kMax) ≥ kMax/q ≥ ρ*/q.
           val w = n.allDensest(g, 1)
-          val q = n.instances(g).headOption.map(_.length).getOrElse(2)
-          val best = subs.map { s =>
-            val (num, den) = n.densityOf(g, s.toSet)
-            num.toDouble / den
-          }.max
-          assert(best * q >= w.num.toDouble / w.den - 1e-9,
-            s"${n.name}: heuristic $best vs optimum ${w.num.toDouble / w.den}")
-        } else assert(subs.isEmpty, n.name)
+          val q = n.instances(g).head.length
+          val (num, den) = n.densityOf(g, nucleus.toSet)
+          assert(num * q * w.den >= w.num * den,
+            s"${n.name}: heuristic $num/$den vs optimum ${w.num}/${w.den}")
+        } else assert(nucleus.isEmpty, n.name)
       }
     }
   }

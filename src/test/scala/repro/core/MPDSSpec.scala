@@ -143,11 +143,4 @@ class MPDSSpec extends SparkSpec {
       assert(math.abs(est.head - 0.42) < 0.04, s"${s.name}: ${est.head}")
     }
   }
-
-  test("heuristic candidates are dense subgraphs (karate smoke test)") {
-    val ug = Datasets.karate()
-    val r = MPDS.run(spark, ug, DensityNotion.Edge, 3, theta = 50, seed = 31L, heuristic = true)
-    assert(r.topK.nonEmpty)
-    assert(r.topK.head.nodes.nonEmpty)
-  }
 }

@@ -50,9 +50,14 @@ class ReferenceLoopSpec extends SparkSpec {
   }
 
   test("NDS.transactions are the reference maximum-sized sets in world order") {
-    val ref = worlds(DensityNotion.Edge, WorldSampler.MonteCarlo, 1).map(_._2)
-    val tx = NDS.transactions(spark, karate, DensityNotion.Edge, theta, seed = seed)
-    assert(tx == ref.map(_.maxSized.toSet))
+    val ref = worlds(DensityNotion.Edge, WorldSampler.MonteCarlo, 1)
+    for (heuristic <- Seq(false, true)) {
+      val want = ref.map { case (world, opt) =>
+        (if (heuristic) DensityNotion.Edge.heuristicDense(world) else opt.maxSized).toSet
+      }
+      val tx = NDS.transactions(spark, karate, DensityNotion.Edge, theta, seed = seed, heuristic = heuristic)
+      assert(tx == want, s"heuristic=$heuristic")
+    }
   }
 
   test("estimateTau and estimateGamma equal the reference hit counts") {

@@ -74,16 +74,6 @@ class HyperPeelingSpec extends AnyFunSuite {
     assert(pr.suffixInstances(1) == 3) // triangle remains
   }
 
-  test("heuristicDenseSubgraphs contains the innermost core and denser suffixes") {
-    Check.forAllGraphs(20, 3, 9) { g =>
-      val pr = HyperPeeling.peel(g.n, edgeInstances(g))
-      val subs = pr.heuristicDenseSubgraphs
-      assert(subs.nonEmpty)
-      val inner = pr.innermost
-      assert(subs.exists(_.sameElements(inner)))
-    }
-  }
-
   /** O(n²) reference: each step removes the live node of least current
     * degree, the least id among equals.
     */
@@ -125,6 +115,27 @@ class HyperPeelingSpec extends AnyFunSuite {
         assert(pr.order.toSeq == order)
         assert((0 until g.n).map(pr.cores.coreNumber) == coreNumber)
         assert(pr.suffixInstances.toSeq == suffix)
+      }
+    }
+  }
+
+  test("heuristicStart: innermost core plus denser suffixes") {
+    forAllSpreadGraphs { g =>
+      val notions = Seq("edge" -> edgeInstances(g), "3-clique" -> Cliques.enumerate(g, 3)) ++
+        Pattern.all.map(psi => psi.name -> psi.instances(g))
+      for ((name, inst) <- notions) {
+        val pr = HyperPeeling.peel(g.n, inst)
+        val (order, coreNumber, _) = referencePeel(g.n, inst)
+        val want =
+          if (inst.isEmpty) Set.empty[Int]
+          else {
+            val inner = (0 until g.n).filter(coreNumber(_) == coreNumber.max).toSet
+            val (num, den) = (BruteForce.instancesInside(inst, inner).toLong, inner.size.toLong)
+            val denser = order.indices.map(k => order.drop(k).toSet)
+              .filter(s => BruteForce.instancesInside(inst, s) * den > num * s.size)
+            denser.foldLeft(inner)(_ ++ _)
+          }
+        assert(pr.order.drop(pr.heuristicStart).toSet == want, name)
       }
     }
   }
