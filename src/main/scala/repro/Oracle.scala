@@ -3,7 +3,6 @@ package repro
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.BinaryType
-import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *

@@ -11,5 +11,5 @@ object DDS {
     * given notion (the maximum-sized one, for determinism).
     */
   def nodes(g: UncertainGraph, notion: DensityNotion): Set[Int] =
-    notion.allDensest(g.deterministic, 1).maxSized.toSet
+    notion.family(g.deterministic).maxSized.toSet
 }

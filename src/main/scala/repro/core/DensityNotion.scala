@@ -3,15 +3,18 @@ package repro.core
 import repro.graph._
 
 /** A density notion ρ (§II-A) together with the per-world subroutines
-  * Algorithm 1/5 need: enumerate all densest subgraphs, the maximum-sized
-  * densest subgraph, the optimal density, and the density of a given node
-  * set — plus the §III-C heuristic substitute for the maximum-sized one.
+  * Algorithm 1/5 need: the densest family (every densest subgraph, the
+  * maximum-sized one and the optimal density), and the density of a given
+  * node set — plus the §III-C heuristic substitute for the maximum-sized one.
   */
 sealed trait DensityNotion extends Serializable {
   def name: String
 
   /** Instance node sets under this notion (edges / h-cliques / ψ-instances). */
   def instances(g: Graph): Array[Array[Int]]
+
+  /** The densest family of world `g`, whose sets are read lazily. */
+  final def family(g: Graph): DensityNotion.Family = Densest.family(g.n, instances(g))
 
   /** All densest subgraphs (at most `cap` of them) + maximum-sized one +
     * exact optimum density.
@@ -41,6 +44,9 @@ object DensityNotion {
 
   /** Per-world result of `allDensest`. */
   type World = Densest.World
+
+  /** Per-world result of `family`. */
+  type Family = Densest.Family
 
   case object Edge extends DensityNotion {
     val name = "edge"

@@ -27,41 +27,45 @@ object MPDS {
   )
 
   /** One row (nodeSet, capped) per node set a world counts for, plus the world's `weight` when
-    * the worlds are enumerated: `sets(i, world)` gives the node sets of world `i` and whether a
-    * cap truncated them. Only a capped world's first row has `capped = true`, so
-    * `count_if(capped)` counts capped worlds. Keys are built here, in the task.
+    * the worlds are enumerated: `rows(i, world)` gives the node sets of world `i`, each with
+    * whether a cap truncated the world's sets after it. Only a capped world's last row has
+    * `capped = true`, so `count_if(capped)` counts capped worlds. Keys are built here, in the
+    * task, one set at a time.
     */
   private[core] def setRows(spark: SparkSession, g: UncertainGraph, worlds: Worlds)(
-      sets: (Long, Graph) => (Seq[Array[Int]], Boolean)): DataFrame = {
+      rows: (Long, Graph) => Iterator[(Array[Int], Boolean)]): DataFrame = {
     import spark.implicits._
-    def rows(i: Long, world: Graph): Iterator[(Array[Byte], Boolean)] = {
-      val (nodeSets, capped) = sets(i, world)
-      nodeSets.iterator.zipWithIndex.map { case (u, j) => (NodeSetKey.of(u), capped && j == 0) }
-    }
+    def keyed(i: Long, world: Graph) = rows(i, world).map { case (u, c) => (NodeSetKey.of(u), c) }
     worlds match {
       case Worlds.Enumerated =>
-        worlds.flatMap(spark, g)((i, w, world) => rows(i, world).map { case (key, c) => (key, c, w) })
+        worlds.flatMap(spark, g)((i, w, world) => keyed(i, world).map { case (key, c) => (key, c, w) })
           .toDF("nodeSet", "capped", "weight")
       case _: Worlds.Sampled =>
-        worlds.flatMap(spark, g)((i, _, world) => rows(i, world)).toDF("nodeSet", "capped")
+        worlds.flatMap(spark, g)((i, _, world) => keyed(i, world)).toDF("nodeSet", "capped")
     }
   }
 
-  /** The densest subgraphs of world `i` (Line 5 of Algorithm 1), at most `cap`, and whether the
-    * world has more than `cap`. `allPerWorld = false` keeps one, drawn uniformly (the ablation of
-    * Table IX).
+  /** The densest subgraphs of world `i` (Line 5 of Algorithm 1), at most `cap`, streamed from
+    * Algorithm 3; the last one kept is flagged when the world has more than `cap`.
+    * `allPerWorld = false` keeps one, drawn uniformly (the ablation of Table IX), so it reads the
+    * capped family whole to know its size.
     */
   private[core] def densest(notion: DensityNotion, cap: Int, allPerWorld: Boolean = true,
-      seed: Long = 1L): (Long, Graph) => (Seq[Array[Int]], Boolean) = {
+      seed: Long = 1L): (Long, Graph) => Iterator[(Array[Int], Boolean)] = {
     // A capped world must keep a row to be counted.
     require(cap > 0, s"the cap on densest subgraphs per world must be positive, not $cap")
-    (i, world) => {
-      val d = notion.allDensest(world, cap)
-      val chosen =
-        if (allPerWorld || d.all.isEmpty) d.all
-        else Seq(d.all(Rnd.forWorld(seed ^ 0x5DEECE66DL, i).nextInt(d.all.length)))
-      (chosen, d.capped)
-    }
+    (i, world) =>
+      if (allPerWorld) {
+        val sets = notion.family(world).sets()
+        Iterator.range(0, cap).takeWhile(_ => sets.hasNext).map { j =>
+          val u = sets.next()
+          (u, j == cap - 1 && sets.hasNext)
+        }
+      } else {
+        val d = notion.allDensest(world, cap)
+        if (d.all.isEmpty) Iterator.empty
+        else Iterator.single((d.all(Rnd.forWorld(seed ^ 0x5DEECE66DL, i).nextInt(d.all.length)), d.capped))
+      }
   }
 
   /** DataFrame of (nodeSet, capped) rows — one per densest subgraph per
@@ -135,21 +139,24 @@ object MPDS {
     import spark.implicits._
     val sets = densest(notion, capPerWorld)
     Worlds.Sampled(theta, sampler, seed).flatMap(spark, g) { (i, _, world) =>
-      val (all, capped) = sets(i, world)
-      Iterator.single((i, all.size.toLong, capped))
+      var numDensest = 0L
+      var capped = false
+      for ((_, last) <- sets(i, world)) { numDensest += 1; capped ||= last }
+      Iterator.single((i, numDensest, capped))
     }.toDF("world", "numDensest", "capped")
   }
 
-  /** The weight of the worlds where `hit(world, optimum, U)` holds, over
-    * the weight of all worlds, for each U of `sets`. `optimum` is
-    * `allDensest(world, 1)`: ρ* and the maximum-sized densest subgraph.
+  /** The weight of the worlds where `hit(world, family, U)` holds, over
+    * the weight of all worlds, for each U of `sets`. `family` is the
+    * world's densest family, read for ρ* and the maximum-sized densest
+    * subgraph only: no set of it is enumerated.
     */
   private[core] def score(spark: SparkSession, g: UncertainGraph, worlds: Worlds, notion: DensityNotion,
-      sets: Seq[Set[Int]])(hit: (Graph, DensityNotion.World, Set[Int]) => Boolean): Seq[Double] = {
+      sets: Seq[Set[Int]])(hit: (Graph, DensityNotion.Family, Set[Int]) => Boolean): Seq[Double] = {
     val distinct = sets.distinct
     val hits = setRows(spark, g, worlds) { (_, world) =>
-      val opt = notion.allDensest(world, 1)
-      (distinct.filter(u => hit(world, opt, u)).map(_.toArray), false)
+      val family = notion.family(world)
+      distinct.iterator.filter(u => hit(world, family, u)).map(u => (u.toArray, false))
     }
     val tau = tauHatDF(hits, worlds.total).collect()
       .map(r => NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")) -> r.getAs[Double]("tau")).toMap
@@ -170,9 +177,9 @@ object MPDS {
       sampler: WorldSampler = WorldSampler.MonteCarlo,
       seed: Long = 1L,
   ): Seq[Double] =
-    score(spark, g, Worlds.Sampled(theta, sampler, seed), notion, sets) { (world, opt, u) =>
+    score(spark, g, Worlds.Sampled(theta, sampler, seed), notion, sets) { (world, family, u) =>
       val (num, den) = notion.densityOf(world, u)
-      num > 0 && num * opt.den == opt.num * den
+      num > 0 && num * family.den == family.num * den
     }
 
   /** Estimate γ(U): fraction of worlds whose maximum-sized densest subgraph
@@ -189,6 +196,6 @@ object MPDS {
   ): Seq[Double] = score(spark, g, Worlds.Sampled(theta, sampler, seed), notion, sets)(contained)
 
   /** U lies in the world's maximum-sized densest subgraph (γ: Definition 5, via footnote 5). */
-  private[core] val contained: (Graph, DensityNotion.World, Set[Int]) => Boolean =
-    (_, opt, u) => u.nonEmpty && u.subsetOf(opt.maxSized.toSet)
+  private[core] val contained: (Graph, DensityNotion.Family, Set[Int]) => Boolean =
+    (_, family, u) => u.nonEmpty && u.subsetOf(family.maxSized.toSet)
 }

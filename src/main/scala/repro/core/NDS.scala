@@ -41,7 +41,7 @@ object NDS {
       .flatMap(spark, g) { (_, _, world) =>
         Iterator.single(
           if (heuristic) notion.heuristicDense(world)
-          else notion.allDensest(world, 1).maxSized)
+          else notion.family(world).maxSized)
       }
       .collect().toSeq.map(_.toSet)
   }

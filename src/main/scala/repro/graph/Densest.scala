@@ -1,6 +1,7 @@
 package repro.graph
 
 import scala.annotation.tailrec
+import scala.collection.mutable
 
 /** Exact densest subgraphs under any weighted instance-count density
   * (§III): the density of a node set U is the total weight of the instances
@@ -22,8 +23,9 @@ import scala.annotation.tailrec
   */
 object Densest {
 
-  /** Per-world result: the densest family (possibly capped), its union (the
-    * maximum-sized densest subgraph), and ρ* = num/den as a reduced rational.
+  /** Per-world result of `allDensest`: the densest family (possibly capped),
+    * its union (the maximum-sized densest subgraph), and ρ* = num/den as a
+    * reduced rational.
     */
   final case class World(
       all: Seq[Array[Int]],
@@ -40,10 +42,96 @@ object Densest {
     */
   final case class Optimum(num: Long, den: Long, witness: Array[Int], net: FlowNetwork, nodes: Array[Int])
 
+  /** Every densest subgraph of one world, read lazily: ρ* = num/den
+    * (reduced), their union `maxSized` (the maximum-sized densest subgraph,
+    * [58]; Algorithm 5 line 4) as sorted ids, and `sets()`, which lists the
+    * family one set at a time (Algorithm 3), however large it is.
+    *
+    * `local` maps each node of the flow network at ρ* to its residual
+    * strongly connected component outside scc(s) and scc(t), numbered
+    * densely in Tarjan order, or -1; `compV(c)` holds component c's graph
+    * nodes in ascending order. The components are disjoint.
+    */
+  final class Family private[Densest] (val num: Long, val den: Long, val maxSized: Array[Int],
+      net: FlowNetwork, local: Array[Int], compV: Array[Array[Int]]) {
+
+    /** A fresh iterator over the densest subgraphs, each as sorted ids, in
+      * the preorder of Algorithm 3's recursion. It builds the condensation
+      * DAG and its descendant and ancestor sets when called, and holds one
+      * closure per level of the recursion, not the sets it has returned.
+      */
+    def sets(): Iterator[Array[Int]] = {
+      // Condensation restricted to non-trivial components (Definition 9
+      // defines des/anc over non-trivial components only).
+      val k = compV.length
+      val dagOut = Array.fill(k)(mutable.HashSet.empty[Int])
+      for (u <- 0 until net.numNodes; p <- net.start(u) until net.start(u + 1); if net.cap(p) > 0) {
+        val cu = local(u); val cv = local(net.head(p))
+        if (cu >= 0 && cv >= 0 && cu != cv) dagOut(cu) += cv
+      }
+      val des = SCC.descendants(dagOut.map(_.toArray))
+      val anc = Array.fill(k)(new java.util.BitSet(k))
+      for (c <- 0 until k) {
+        val dc = des(c)
+        var d = dc.nextSetBit(0)
+        while (d >= 0) { anc(d).set(c); d = dc.nextSetBit(d + 1) }
+      }
+
+      // Algorithm 3, depth first with an explicit stack. Level d holds C1 ∪
+      // des(C1) and the candidates still to try beside C1, `cands(d)` from
+      // `pos(d)` on: only components with V-nodes (line 5), in order. Taking
+      // the next candidate c yields the child C1 ∪ {c} and pushes it with
+      // the later candidates outside des(c) and anc(c) (independence),
+      // sharing the parent's array when c excludes none of them. A level
+      // costs heap, not thread stack: each one fixes a candidate, so depth
+      // ≤ k.
+      new Iterator[Array[Int]] {
+        private val closures = new Array[java.util.BitSet](k + 1)
+        private val cands = new Array[Array[Int]](k + 1)
+        private val pos = new Array[Int](k + 1)
+        private var d = 0
+        closures(0) = new java.util.BitSet(k)
+        cands(0) = (0 until k).filter(compV(_).nonEmpty).toArray
+
+        def hasNext: Boolean = {
+          while (d >= 0 && pos(d) == cands(d).length) d -= 1
+          d >= 0
+        }
+
+        def next(): Array[Int] = {
+          if (!hasNext) throw new NoSuchElementException("no further densest subgraph")
+          val from = cands(d)
+          val c = from(pos(d))
+          pos(d) += 1
+          val closure = closures(d).clone().asInstanceOf[java.util.BitSet]
+          closure.set(c)
+          closure.or(des(c))
+          val independent = (x: Int) => !des(c).get(x) && !anc(c).get(x)
+          var i = pos(d)
+          while (i < from.length && independent(from(i))) i += 1
+          d += 1
+          closures(d) = closure
+          if (i == from.length) { cands(d) = from; pos(d) = pos(d - 1) }
+          else { cands(d) = from.drop(pos(d - 1)).filter(independent); pos(d) = 0 }
+          val set = mutable.ArrayBuilder.make[Int]
+          var x = closure.nextSetBit(0)
+          while (x >= 0) { set ++= compV(x); x = closure.nextSetBit(x + 1) }
+          val sorted = set.result()
+          java.util.Arrays.sort(sorted)
+          sorted
+        }
+      }
+    }
+  }
+
+  private val noInstances =
+    new Family(0L, 1L, Array.empty, new FlowNetwork(0, Array.empty, Array.empty, Array.empty), Array.empty, Array.empty)
+
   private def gcd(a: Long, b: Long): Long = if (b == 0) math.max(a, 1) else gcd(b, a % b)
 
-  /** All densest subgraphs for the instances `inst` (node sets, ids < n),
-    * up to `cap` of them (Algorithms 1–4 and 7).
+  /** The densest family for the instances `inst` (node sets, ids < n)
+    * (Algorithms 1–4 and 7): the peel, ρ* and the residual components run
+    * here, the enumeration in `sets()`.
     *
     * Lines 1–2 peel only the t-core that holds the best peel suffix (see
     * [[HyperPeeling]]): the same ρ̃, (⌈ρ̃⌉, ψ)-core and Dinkelbach start as
@@ -52,8 +140,8 @@ object Densest {
     * (⌈ρ̃⌉, ψ)-core are the entries of `inst` whose nodes all have core
     * number ≥ ⌈ρ̃⌉, kept in `inst`'s order; none is enumerated again.
     */
-  def allDensest(n: Int, inst: Array[Array[Int]], cap: Int): World = {
-    if (inst.isEmpty) return World(Seq.empty, capped = false, Array.empty, 0L, 1L)
+  def family(n: Int, inst: Array[Array[Int]]): Family = {
+    if (inst.isEmpty) return noInstances
 
     // Lines 1-2: peeling lower bound ρ̃ and the (⌈ρ̃⌉, ψ)-core, which holds
     // every densest subgraph.
@@ -65,10 +153,37 @@ object Densest {
     val (sets, counts) = Pattern.groups(cores.coreInstances((a + b - 1) / b))
     val opt = maxDensity(sets, counts.map(_.toLong), pr.bestSuffixNodes)
 
-    // Lines 5-8: residual SCCs of the flow at ρ*, then Algorithm 3.
-    val vOf = (id: Int) => if (id >= 2 && id < opt.nodes.length + 2) opt.nodes(id - 2) else -1
-    val e = DensestEnum.enumerate(opt.net, 0, 1, vOf, cap)
-    World(e.all, e.capped, e.maxSized, opt.num, opt.den)
+    // Lines 5-7: the residual SCCs of the flow at ρ*, those outside scc(s)
+    // and scc(t) renumbered densely in Tarjan order.
+    val (comp, nComp) = SCC.components(opt.net)
+    val dense = Array.fill(nComp)(-1)
+    var k = 0
+    for (c <- 0 until nComp; if c != comp(0) && c != comp(1)) { dense(c) = k; k += 1 }
+    val local = comp.map(dense)
+    // The V-nodes are network ids 2 until nodes.length + 2, in ascending
+    // node order. Every component with a V-node is a singleton independent
+    // set, so the union of all densest subgraphs is every V-node outside
+    // scc(s) and scc(t).
+    val compV = Array.fill(k)(mutable.ArrayBuilder.make[Int])
+    val union = mutable.ArrayBuilder.make[Int]
+    for (i <- opt.nodes.indices; c = local(i + 2); if c >= 0) {
+      compV(c) += opt.nodes(i)
+      union += opt.nodes(i)
+    }
+    new Family(opt.num, opt.den, union.result(), opt.net, local, compV.map(_.result()))
+  }
+
+  /** All densest subgraphs for the instances `inst`, up to `cap` of them:
+    * the first `cap` sets of `family(n, inst).sets()`, and whether more
+    * exist.
+    */
+  def allDensest(n: Int, inst: Array[Array[Int]], cap: Int): World = {
+    val f = family(n, inst)
+    val it = f.sets()
+    val all = Vector.newBuilder[Array[Int]]
+    var kept = 0
+    while (kept < cap && it.hasNext) { all += it.next(); kept += 1 }
+    World(all.result(), it.hasNext, f.maxSized, f.num, f.den)
   }
 
   /** Exact maximum density of instances `sets` (node sets of one size q)

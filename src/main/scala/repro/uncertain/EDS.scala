@@ -17,59 +17,43 @@ object EDS {
 
   final case class Result(nodes: Set[Int], expectedDensity: Double)
 
-  /** The max-density witness of instances `sets` with integer weights
-    * (the engine's Dinkelbach step, started from every node of positive
-    * weight). Instances whose weight rounds to 0 add nothing to any density
-    * and are dropped.
+  /** The expected ψ-densest subgraph over the embeddings `embs`, each a
+    * node set with its pattern edges. An embedding's probability is the
+    * product of its edges' (Theorem 7), and its weight that probability
+    * scaled to an integer. The engine's Dinkelbach step solves the weighted
+    * instances, started from every node of positive weight; instances whose
+    * weight rounds to 0 add nothing to any density and are dropped.
     */
-  private def densest(sets: Array[Array[Int]], weights: Array[Long]): Set[Int] = {
-    val keep = sets.indices.filter(weights(_) > 0).toArray
-    val start = keep.flatMap(sets(_)).distinct
-    Densest.maxDensity(keep.map(sets), keep.map(weights), start).witness.toSet
-  }
-
-  /** Expected edge densest subgraph [44]. */
-  def edge(g: UncertainGraph): Result = {
-    val w = g.prob.map(p => math.round(p * Scale))
-    val nodes = densest(Cliques.enumerate(g.deterministic, 2), w)
-    Result(nodes, expectedEdgeDensity(g, nodes))
-  }
-
-  /** Expected h-clique densest subgraph (Appendix C). */
-  def clique(g: UncertainGraph, h: Int): Result = {
-    val cliques = Cliques.enumerate(g.deterministic, h)
-    def cliqueProb(c: Array[Int]): Double = {
-      var p = 1.0
-      for (i <- c.indices; j <- i + 1 until c.length) p *= g.prob(g.edgeIndex(c(i), c(j)))
-      p
-    }
-    val w = cliques.map(c => math.round(cliqueProb(c) * Scale))
-    val nodes = densest(cliques, w)
-    val ed =
-      if (nodes.isEmpty) 0.0
-      else cliques.toSeq.collect { case c if c.forall(nodes.contains) => cliqueProb(c) }.sum / nodes.size
-    Result(nodes, ed)
-  }
-
-  /** Expected ψ-densest subgraph (Appendix C): embedding weight is the
-    * product of the probabilities of the embedding's own pattern edges
-    * (Theorem 7).
-    */
-  def pattern(g: UncertainGraph, psi: Pattern): Result = {
-    val embs = psi.embeddings(g.deterministic)
-    def embProb(edges: Array[(Int, Int)]): Double = {
+  private def solve(g: UncertainGraph, embs: Array[(Array[Int], Array[(Int, Int)])]): Result = {
+    val probs = embs.map { case (_, edges) =>
       var p = 1.0
       for ((u, v) <- edges) p *= g.prob(g.edgeIndex(u, v))
       p
     }
-    val sets = embs.map(_._1)
-    val w = embs.map(e => math.round(embProb(e._2) * Scale))
-    val nodes = densest(sets, w)
+    val weights = probs.map(p => math.round(p * Scale))
+    val keep = embs.indices.filter(weights(_) > 0).toArray
+    val start = keep.flatMap(embs(_)._1).distinct
+    val nodes = Densest.maxDensity(keep.map(embs(_)._1), keep.map(weights), start).witness.toSet
     val ed =
       if (nodes.isEmpty) 0.0
-      else embs.toSeq.collect { case (s, e) if s.forall(nodes.contains) => embProb(e) }.sum / nodes.size
+      else embs.indices.collect { case i if embs(i)._1.forall(nodes.contains) => probs(i) }.sum / nodes.size
     Result(nodes, ed)
   }
+
+  /** Expected edge densest subgraph [44]. */
+  def edge(g: UncertainGraph): Result =
+    solve(g, Cliques.enumerate(g.deterministic, 2).map(e => (e, Array((e(0), e(1))))))
+
+  /** Expected h-clique densest subgraph (Appendix C): a clique's edges are
+    * all of its pairs.
+    */
+  def clique(g: UncertainGraph, h: Int): Result =
+    solve(g, Cliques.enumerate(g.deterministic, h).map { c =>
+      (c, for (i <- c.indices.toArray; j <- i + 1 until c.length) yield (c(i), c(j)))
+    })
+
+  /** Expected ψ-densest subgraph (Appendix C), over ψ's embeddings. */
+  def pattern(g: UncertainGraph, psi: Pattern): Result = solve(g, psi.embeddings(g.deterministic))
 
   /** E[ρ_e(U)] = Σ_{edges inside U} p(e) / |U| (linearity of expectation). */
   def expectedEdgeDensity(g: UncertainGraph, nodes: Set[Int]): Double =

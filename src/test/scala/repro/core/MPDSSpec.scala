@@ -108,6 +108,16 @@ class MPDSSpec extends SparkSpec {
     assert(MPDS.run(spark, twoEdges, DensityNotion.Edge, 3, theta = 20, seed = 79L, capPerWorld = 2).cappedWorlds == 20)
   }
 
+  test("a capped world flags its last kept row, and only that row") {
+    // Two certain disjoint triangles: each and their union are densest.
+    val ug = UncertainGraph.fromEdges(6,
+      Seq((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)))
+    def flags(cap: Int) = MPDS.candidateSets(spark, ug, DensityNotion.Edge, 1, capPerWorld = cap)
+      .collect().map(_.getAs[Boolean]("capped")).toSeq
+    assert(flags(2) == Seq(false, true))
+    assert(flags(3) == Seq(false, false, false))
+  }
+
   test("top-k ties break in numeric order of the sorted ids") {
     // Both certain edges and their union are densest in every world.
     val ug = UncertainGraph.fromEdges(12, Seq((2, 3, 1.0), (10, 11, 1.0)))

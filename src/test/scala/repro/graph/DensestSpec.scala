@@ -22,6 +22,7 @@ class DensestSpec extends AnyFunSuite {
         assert(r.num == bn && r.den == bd, s"$ctx: got ${r.num}/${r.den} want $bn/$bd")
         assert(!r.capped, ctx)
         assert(r.all.map(_.toSet).toSet == all && r.all.size == all.size, ctx)
+        assert(Densest.family(n, inst).sets().map(_.toSeq).toSeq == r.all.map(_.toSeq), ctx)
         assert(r.maxSized.toSet == all.flatten, ctx)
         // The Dinkelbach step alone, on the drawn sets and their weights.
         val opt = Densest.maxDensity(drawn, weights, (0 until n).toArray)

@@ -29,6 +29,10 @@ class EdgeDensestSpec extends AnyFunSuite {
       val got = r.all.map(_.toSet).toSet
       assert(got == all, s"got ${got.size} sets, expected ${all.size}")
       assert(r.all.size == got.size, "no duplicate enumeration")
+      // The family lists the same sets in the same order, as often as asked.
+      val f = Edge.family(g)
+      assert(f.sets().map(_.toSeq).toSeq == r.all.map(_.toSeq))
+      assert(f.sets().map(_.toSeq).toSeq == r.all.map(_.toSeq), "a second sets() differs")
     }
   }
 
@@ -78,6 +82,13 @@ class EdgeDensestSpec extends AnyFunSuite {
     assert(!exact.capped && exact.all.size == 3)
     val over = Edge.allDensest(g, 2)
     assert(over.capped && over.all.map(_.toSeq) == exact.all.take(2).map(_.toSeq))
+  }
+
+  test("40 disjoint edges: the family's first sets come without listing its 2^40 - 1") {
+    val g = Graph.fromEdges(80, (0 until 80 by 2).map(v => (v, v + 1)))
+    val f = Edge.family(g)
+    assert(f.num == 1 && f.den == 2 && f.maxSized.sameElements(0 until 80))
+    assert(f.sets().take(3).map(_.toSeq).toSeq == Edge.allDensest(g, 3).all.map(_.toSeq))
   }
 
   test("paper Figure 1 worlds: densest families as in Table I") {

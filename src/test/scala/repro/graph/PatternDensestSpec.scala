@@ -15,6 +15,7 @@ class PatternDensestSpec extends AnyFunSuite {
         assert(r.num == bn && r.den == bd,
           s"${p.name}: got ${r.num}/${r.den} want $bn/$bd")
         assert(r.all.map(_.toSet).toSet == all, s"${p.name}: family mismatch")
+        assert(Pat(p).family(g).sets().map(_.toSeq).toSeq == r.all.map(_.toSeq), s"${p.name}: sets() order")
         assert(r.maxSized.toSet == all.flatten)
       }
     }
