@@ -8,8 +8,11 @@ import repro.uncertain.{Rnd, UncertainGraph, WorldSampler}
 /** Algorithm 1 — sampling-based top-k MPDS estimation, as a Spark dataflow:
   *
   *   worlds (0..θ)  →  per-world all-densest node sets (task-local flow
-  *   computation)  →  DataFrame[(nodeSet, capped)], one row per world and
-  *   densest set  →  groupBy(nodeSet) count / θ  =  τ̂  →  top-k.
+  *   computation, an RDD)  →  DataFrame[(nodeSet, capped)], one row per
+  *   world and densest set  →  groupBy(nodeSet) count / θ  =  τ̂  →  top-k.
+  *
+  * Only the aggregation runs in Spark SQL; the fixed-set scorers
+  * (`estimateTau`, `estimateGamma`) fold the RDD without it.
   */
 object MPDS {
 
@@ -39,9 +42,9 @@ object MPDS {
     worlds match {
       case Worlds.Enumerated =>
         worlds.flatMap(spark, g)((i, w, world) => keyed(i, world).map { case (key, c) => (key, c, w) })
-          .toDF("nodeSet", "capped", "weight")
+          .toDS().toDF("nodeSet", "capped", "weight")
       case _: Worlds.Sampled =>
-        worlds.flatMap(spark, g)((i, _, world) => keyed(i, world)).toDF("nodeSet", "capped")
+        worlds.flatMap(spark, g)((i, _, world) => keyed(i, world)).toDS().toDF("nodeSet", "capped")
     }
   }
 
@@ -143,24 +146,27 @@ object MPDS {
       var capped = false
       for ((_, last) <- sets(i, world)) { numDensest += 1; capped ||= last }
       Iterator.single((i, numDensest, capped))
-    }.toDF("world", "numDensest", "capped")
+    }.toDS().toDF("world", "numDensest", "capped")
   }
 
   /** The weight of the worlds where `hit(world, family, U)` holds, over
     * the weight of all worlds, for each U of `sets`. `family` is the
     * world's densest family, read for ρ* and the maximum-sized densest
-    * subgraph only: no set of it is enumerated.
+    * subgraph only: no set of it is enumerated. Each task sums its worlds'
+    * weights per distinct set, in world order, and the driver adds the
+    * tasks' sums: one job, with no shuffle and no SQL.
     */
   private[core] def score(spark: SparkSession, g: UncertainGraph, worlds: Worlds, notion: DensityNotion,
       sets: Seq[Set[Int]])(hit: (Graph, DensityNotion.Family, Set[Int]) => Boolean): Seq[Double] = {
-    val distinct = sets.distinct
-    val hits = setRows(spark, g, worlds) { (_, world) =>
+    val distinct = sets.distinct.toArray
+    val mass = worlds.flatMap(spark, g) { (_, w, world) =>
       val family = notion.family(world)
-      distinct.iterator.filter(u => hit(world, family, u)).map(u => (u.toArray, false))
-    }
-    val tau = tauHatDF(hits, worlds.total).collect()
-      .map(r => NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")) -> r.getAs[Double]("tau")).toMap
-    sets.map(u => tau.getOrElse(u.toSeq.sorted, 0.0))
+      distinct.indices.iterator.filter(j => hit(world, family, distinct(j))).map(j => (j, w))
+    }.aggregate(new Array[Double](distinct.length))(
+      { case (acc, (j, w)) => acc(j) += w; acc },
+      { (a, b) => for (j <- a.indices) a(j) += b(j); a })
+    val index = distinct.zipWithIndex.toMap
+    sets.map(u => mass(index(u)) / worlds.total)
   }
 
   /** Estimate τ(U) for given node sets: the fraction of sampled worlds in

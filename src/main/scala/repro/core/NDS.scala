@@ -9,9 +9,9 @@ import repro.uncertain.{UncertainGraph, WorldSampler}
   * subgraphs, footnote 5 / [58]) as a transaction, then mine the top-k
   * closed node sets of size >= l_m with TFP.
   *
-  * The sampling fan-out runs across the cluster; transactions (θ node sets)
-  * are collected to the driver for the itemset-mining step, exactly as the
-  * paper runs TFP on the candidate set CV.
+  * The sampling fan-out runs across the cluster as one RDD job, with no SQL;
+  * transactions (θ node sets) are collected to the driver for the
+  * itemset-mining step, exactly as the paper runs TFP on the candidate set CV.
   */
 object NDS {
 
@@ -35,8 +35,7 @@ object NDS {
       sampler: WorldSampler = WorldSampler.MonteCarlo,
       seed: Long = 1L,
       heuristic: Boolean = false,
-  ): Seq[Set[Int]] = {
-    import spark.implicits._
+  ): Seq[Set[Int]] =
     Worlds.Sampled(theta, sampler, seed)
       .flatMap(spark, g) { (_, _, world) =>
         Iterator.single(
@@ -44,7 +43,6 @@ object NDS {
           else notion.family(world).maxSized)
       }
       .collect().toSeq.map(_.toSet)
-  }
 
   /** Full Algorithm 5. */
   def run(

@@ -1,8 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
 import repro.graph.Graph
 import repro.uncertain.{UncertainGraph, WorldSampler}
+import scala.reflect.ClassTag
 
 /** The possible worlds an estimator sums over: the θ worlds of a sampled
   * run (Algorithm 1 line 3, Algorithm 5 line 3), each of weight 1, or all
@@ -19,14 +21,19 @@ sealed trait Worlds extends Serializable {
   /** World `i` of `g` with its weight; None if it has probability 0. */
   protected def world(g: UncertainGraph, i: Long): Option[(Double, Graph)]
 
-  /** The rows `f(i, weight, world)` of every world `i`, as one Spark
-    * Dataset: the only fan-out over possible worlds. `g` is broadcast once,
-    * and each task builds its worlds from their ids.
+  /** The rows `f(i, weight, world)` of every world `i`, as one RDD: the
+    * only fan-out over possible worlds. It plans no SQL, so a caller that
+    * only collects or folds the rows runs a plain Spark job; one that
+    * aggregates them in SQL turns them into a DataFrame itself. `g` is
+    * broadcast once, and each task builds its worlds from their ids. The
+    * ids are split into `defaultParallelism` slices at the boundaries
+    * `(j·n)/P` that `spark.range` uses.
     */
-  final def flatMap[A: Encoder](spark: SparkSession, g: UncertainGraph)(
-      f: (Long, Double, Graph) => Iterator[A]): Dataset[A] = {
-    val bc = spark.sparkContext.broadcast(g)
-    spark.range(ids(g)).as(Encoders.scalaLong)
+  final def flatMap[A: ClassTag](spark: SparkSession, g: UncertainGraph)(
+      f: (Long, Double, Graph) => Iterator[A]): RDD[A] = {
+    val sc = spark.sparkContext
+    val bc = sc.broadcast(g)
+    sc.range(0, ids(g), 1, sc.defaultParallelism)
       .flatMap(i => world(bc.value, i).iterator.flatMap { case (w, gw) => f(i, w, gw) })
   }
 }

@@ -38,6 +38,23 @@ class ExactMPDSSpec extends SparkSpec {
     assert(math.abs(g - 0.7) < 1e-9)
   }
 
+  test("gammaOf is the Pr(world) sum over the worlds whose maximum-sized densest subgraph holds U") {
+    val rnd = new Random(103)
+    val graphs = fig1 +: Seq.fill(3) {
+      val det = Check.randomGraph(rnd, 4, 5) // m <= 10
+      UncertainGraph(det.n, det.edgeU, det.edgeV, Check.randomProbs(rnd, det.m))
+    }
+    for (g <- graphs; u <- Seq(Set(1, 3), Set(0), Set(0, 1, 2), Set.empty[Int])) {
+      val want = (0L until (1L << g.m)).map { mask =>
+        val present = g.worldOfMask(mask)
+        val world = g.world(present)
+        if (MPDS.contained(world, DensityNotion.Edge.family(world), u)) g.worldProbability(present) else 0.0
+      }.sum
+      // Only the order of the sum differs.
+      assert(math.abs(ExactMPDS.gammaOf(spark, g, DensityNotion.Edge, u) - want) < 1e-12, s"$u")
+    }
+  }
+
   test("exact tau matches a driver-side brute force on random graphs") {
     val rnd = new Random(101)
     for (_ <- 0 until 5) {
