@@ -14,15 +14,19 @@ object ExactMPDS {
   final case class Candidate(nodes: Seq[Int], tau: Double)
 
   /** DataFrame of (nodeSet, tau) with exact τ values for every node set
-    * with τ > 0.
+    * with τ > 0, in `topK`'s order.
     */
-  def tauDF(spark: SparkSession, g: UncertainGraph, notion: DensityNotion): DataFrame =
-    MPDS.tauHatDF(MPDS.setRows(spark, g, Worlds.Enumerated)(MPDS.densest(notion, Int.MaxValue)),
-      Worlds.Enumerated.total).drop("freq")
+  def tauDF(spark: SparkSession, g: UncertainGraph, notion: DensityNotion): DataFrame = {
+    import spark.implicits._
+    topK(spark, g, notion, Int.MaxValue).map(c => (NodeSetKey.of(c.nodes.toArray), c.tau)).toDF("nodeSet", "tau")
+  }
 
-  /** Exact top-k MPDS. */
+  /** Exact top-k MPDS: the `k` node sets of highest τ > 0 with their τ, ties
+    * in numeric order of the sorted ids.
+    */
   def topK(spark: SparkSession, g: UncertainGraph, notion: DensityNotion, k: Int): Seq[Candidate] =
-    MPDS.top(tauDF(spark, g, notion), k).map { case (nodes, t) => Candidate(nodes, t) }
+    MPDS.tally(spark, g, Worlds.Enumerated, MPDS.densest(notion, Int.MaxValue), k).topK
+      .map(c => Candidate(c.nodes, c.tauHat))
 
   /** Exact γ(U) = Σ Pr(world) over worlds whose maximum-sized densest
     * subgraph contains U (Definition 5, via footnote 5).

@@ -1,18 +1,18 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Observation, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Graph
 import repro.uncertain.{Rnd, UncertainGraph, WorldSampler}
 
-/** Algorithm 1 — sampling-based top-k MPDS estimation, as a Spark dataflow:
+/** Algorithm 1 — sampling-based top-k MPDS estimation, as one Spark job:
   *
   *   worlds (0..θ)  →  per-world all-densest node sets (task-local flow
-  *   computation, an RDD)  →  DataFrame[(nodeSet, capped)], one row per
-  *   world and densest set  →  groupBy(nodeSet) count / θ  =  τ̂  →  top-k.
+  *   computation, an RDD)  →  one key per world and densest set, routed by
+  *   its hash to one of R reducers  →  per key count / θ  =  τ̂  →  each
+  *   reducer's top-k  →  the driver's merge of the R lists.
   *
-  * Only the aggregation runs in Spark SQL; the fixed-set scorers
-  * (`estimateTau`, `estimateGamma`) fold the RDD without it.
+  * No estimator here plans SQL: the fixed-set scorers (`estimateTau`,
+  * `estimateGamma`) fold the RDD, and only `worldStats` returns a DataFrame.
   */
 object MPDS {
 
@@ -28,25 +28,6 @@ object MPDS {
       numCandidates: Long,
       cappedWorlds: Long,
   )
-
-  /** One row (nodeSet, capped) per node set a world counts for, plus the world's `weight` when
-    * the worlds are enumerated: `rows(i, world)` gives the node sets of world `i`, each with
-    * whether a cap truncated the world's sets after it. Only a capped world's last row has
-    * `capped = true`, so `count_if(capped)` counts capped worlds. Keys are built here, in the
-    * task, one set at a time.
-    */
-  private[core] def setRows(spark: SparkSession, g: UncertainGraph, worlds: Worlds)(
-      rows: (Long, Graph) => Iterator[(Array[Int], Boolean)]): DataFrame = {
-    import spark.implicits._
-    def keyed(i: Long, world: Graph) = rows(i, world).map { case (u, c) => (NodeSetKey.of(u), c) }
-    worlds match {
-      case Worlds.Enumerated =>
-        worlds.flatMap(spark, g)((i, w, world) => keyed(i, world).map { case (key, c) => (key, c, w) })
-          .toDS().toDF("nodeSet", "capped", "weight")
-      case _: Worlds.Sampled =>
-        worlds.flatMap(spark, g)((i, _, world) => keyed(i, world)).toDS().toDF("nodeSet", "capped")
-    }
-  }
 
   /** The densest subgraphs of world `i` (Line 5 of Algorithm 1), at most `cap`, streamed from
     * Algorithm 3; the last one kept is flagged when the world has more than `cap`.
@@ -71,38 +52,23 @@ object MPDS {
       }
   }
 
-  /** DataFrame of (nodeSet, capped) rows — one per densest subgraph per
-    * sampled world (Line 5-7 of Algorithm 1); the options are `run`'s.
+  /** Algorithm 1 lines 5–8 over `worlds`: every node set that `rows(i, world)` gives for some
+    * world, credited with the world's weight and ranked by τ (its weight over `worlds.total`),
+    * ties in key order; the `k` best, the number of distinct sets and the rows flagged capped
+    * (one per capped world). Keys are built in the task, one set at a time, and counted (summed,
+    * for enumerated worlds) by [[SetTally]]: one Spark job, no SQL.
     */
-  def candidateSets(
-      spark: SparkSession,
-      g: UncertainGraph,
-      notion: DensityNotion,
-      theta: Int,
-      sampler: WorldSampler = WorldSampler.MonteCarlo,
-      seed: Long = 1L,
-      allPerWorld: Boolean = true,
-      capPerWorld: Int = 100000,
-  ): DataFrame =
-    setRows(spark, g, Worlds.Sampled(theta, sampler, seed))(densest(notion, capPerWorld, allPerWorld, seed))
-
-  /** (nodeSet, freq, tau) per node set: `freq` counts its rows, and `tau` is `freq` over `total`
-    * (θ: τ̂ = freq / θ), or the sum of the rows' `weight` over `total` when they carry one.
-    */
-  def tauHatDF(candidates: DataFrame, total: Double): DataFrame = {
-    val mass = if (candidates.columns.contains("weight")) sum("weight") else count(lit(1))
-    candidates
-      .groupBy("nodeSet")
-      .agg(count(lit(1)).as("freq"), mass.as("mass"))
-      .select(col("nodeSet"), col("freq"), (col("mass") / lit(total)).as("tau"))
+  private[core] def tally(spark: SparkSession, g: UncertainGraph, worlds: Worlds,
+      rows: (Long, Graph) => Iterator[(Array[Int], Boolean)], k: Int): Result = {
+    val keyed = worlds.flatMap(spark, g) { (i, w, world) =>
+      rows(i, world).map { case (u, c) => (NodeSetKey.of(u), c, w) }
+    }
+    val t = SetTally(keyed, k, weighted = worlds == Worlds.Enumerated, spark.sparkContext.defaultParallelism)
+    Result(t.top.map { case (key, mass) => Candidate(NodeSetKey.parse(key), mass / worlds.total) },
+      t.distinct, t.capped)
   }
 
-  /** The `k` node sets of highest tau in `tau`, ties broken by key order. */
-  private[core] def top(tau: DataFrame, k: Int): Seq[(Seq[Int], Double)] =
-    tau.orderBy(desc("tau"), asc("nodeSet")).limit(k).collect().toSeq
-      .map(r => (NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")), r.getAs[Double]("tau")))
-
-  /** Full Algorithm 1: top-k node sets by τ̂, in one Spark query. */
+  /** Full Algorithm 1: top-k node sets by τ̂, in one Spark job. */
   def run(
       spark: SparkSession,
       g: UncertainGraph,
@@ -113,18 +79,8 @@ object MPDS {
       seed: Long = 1L,
       allPerWorld: Boolean = true,
       capPerWorld: Int = 100000,
-  ): Result = {
-    val capped = Observation()
-    val candidates = Observation()
-    val rows = candidateSets(spark, g, notion, theta, sampler, seed, allPerWorld, capPerWorld)
-      .observe(capped, count_if(col("capped")).as("n"))
-    val tau = tauHatDF(rows, theta).observe(candidates, count(lit(1)).as("n"))
-    val topK = top(tau, k).map { case (nodes, t) => Candidate(nodes, t) }
-    // With no candidate rows, adaptive execution replaces the empty stages
-    // and their observed counts never run: a missing count is 0.
-    def n(o: Observation) = o.get.getOrElse("n", 0L).asInstanceOf[Long]
-    Result(topK, n(candidates), n(capped))
-  }
+  ): Result =
+    tally(spark, g, Worlds.Sampled(theta, sampler, seed), densest(notion, capPerWorld, allPerWorld, seed), k)
 
   /** Per-world number of densest subgraphs (Table VIII): DataFrame of
     * (world, numDensest, capped), where `capped` marks a world with more

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions.{col, count, hex, lit, round, sum}
+import org.apache.spark.sql.functions.{count, lit, round, sum}
 import repro.{Oracle, SparkSpec}
 import repro.uncertain.{UncertainGraph, WorldSampler}
 import repro.data.Datasets
@@ -12,9 +12,8 @@ class MPDSSpec extends SparkSpec {
 
   test("sampled tau-hat converges to the exact Table I values") {
     val theta = 4000
-    val cands = MPDS.candidateSets(spark, fig1, DensityNotion.Edge, theta, seed = 5L)
-    val tau = MPDS.tauHatDF(cands, theta).collect()
-      .map(r => NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")) -> r.getAs[Double]("tau")).toMap
+    val tau = MPDS.run(spark, fig1, DensityNotion.Edge, Int.MaxValue, theta, seed = 5L).topK
+      .map(c => c.nodes -> c.tauHat).toMap
     def t(s: Int*) = tau.getOrElse(s, 0.0)
     assert(math.abs(t(1, 3) - 0.42) < 0.03)
     assert(math.abs(t(0, 2) - 0.24) < 0.03)
@@ -30,22 +29,29 @@ class MPDSSpec extends SparkSpec {
 
   test("estimator is unbiased across seeds (mean of estimates ~ tau)") {
     val runs = (0 until 10).map { s =>
-      val cands = MPDS.candidateSets(spark, fig1, DensityNotion.Edge, 500, seed = 1000L + s)
-      MPDS.tauHatDF(cands, 500).filter(col("nodeSet") === NodeSetKey.of(Set(1, 3))).collect()
-        .headOption.fold(0.0)(_.getAs[Double]("tau"))
+      MPDS.run(spark, fig1, DensityNotion.Edge, Int.MaxValue, 500, seed = 1000L + s).topK
+        .find(_.nodes == Seq(1, 3)).fold(0.0)(_.tauHat)
     }
     assert(math.abs(runs.sum / runs.size - 0.42) < 0.03)
   }
 
   test("tauHat aggregation matches DuckDB (oracle)") {
-    val theta = 300
-    val cands = MPDS.candidateSets(spark, fig1, DensityNotion.Edge, theta, seed = 11L)
-    val agg = MPDS.tauHatDF(cands, theta).select(hex(col("nodeSet")).as("nodeSet"), col("freq"))
-    Oracle.assertEquivalent(
-      agg,
-      "SELECT hex(nodeSet) AS nodeSet, COUNT(*) AS freq FROM cands GROUP BY nodeSet",
-      "cands" -> cands,
-    )
+    import spark.implicits._
+    for ((g, theta, cap) <- Seq((fig1, 300, 100000), (Datasets.karate(), 64, 50))) {
+      val sets = MPDS.densest(DensityNotion.Edge, cap)
+      val rows = Worlds.Sampled(theta, WorldSampler.MonteCarlo, 11L).flatMap(spark, g) { (i, _, world) =>
+        sets(i, world).map { case (u, c) => (NodeSetKey.of(u), c) }
+      }
+      val tally = SetTally(rows.map { case (key, c) => (key, c, 1.0) }, Int.MaxValue, weighted = false,
+        spark.sparkContext.defaultParallelism)
+      val table = tally.top.map { case (key, n) => (key.map("%02X".format(_)).mkString, n.toLong) }
+      assert(tally.distinct == table.size)
+      Oracle.assertEquivalent(
+        table.toDF("nodeSet", "freq"),
+        "SELECT hex(nodeSet) AS nodeSet, COUNT(*) AS freq FROM cands GROUP BY nodeSet",
+        "cands" -> rows.toDF("nodeSet", "capped"),
+      )
+    }
   }
 
   test("oracle validates an uncertain-graph edge aggregation") {
@@ -112,8 +118,9 @@ class MPDSSpec extends SparkSpec {
     // Two certain disjoint triangles: each and their union are densest.
     val ug = UncertainGraph.fromEdges(6,
       Seq((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)))
-    def flags(cap: Int) = MPDS.candidateSets(spark, ug, DensityNotion.Edge, 1, capPerWorld = cap)
-      .collect().map(_.getAs[Boolean]("capped")).toSeq
+    def flags(cap: Int) = Worlds.Sampled(1, WorldSampler.MonteCarlo, 1L).flatMap(spark, ug) { (i, _, world) =>
+      MPDS.densest(DensityNotion.Edge, cap)(i, world).map(_._2)
+    }.collect().toSeq
     assert(flags(2) == Seq(false, true))
     assert(flags(3) == Seq(false, false, false))
   }

@@ -1,14 +1,14 @@
 package repro.core
 
 import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import repro.SparkSpec
 import repro.data.Datasets
 import repro.uncertain.{UncertainGraph, WorldSampler}
 
 /** The fan-out over possible worlds: how it slices the world ids into
-  * tasks, and that the estimators with no SQL aggregation run no SQL.
+  * tasks, and that no estimator runs SQL.
   */
 class WorldsSpec extends SparkSpec {
 
@@ -25,35 +25,54 @@ class WorldsSpec extends SparkSpec {
     }
   }
 
-  test("NDS.run, estimateTau and estimateGamma run no SQL") {
-    val karate = Datasets.karate()
-    val sets = Seq(Set(0, 1, 2, 3), Set(32, 33))
-    // Every SQL execution posts its start on the listener bus; a listener
-    // sees a queue's events in order, so once it sees the sentinel query
-    // below, it has seen every execution that started before it.
-    val started = new AtomicInteger
+  /** The SQL executions and the jobs that `body` starts. Every start is
+    * posted on the listener bus, and a listener sees a queue's events in
+    * order, so once it sees the sentinel query run after `body`, it has seen
+    * every start before it.
+    */
+  private def started(body: => Unit): (Int, Int) = {
+    val sql = new AtomicInteger
+    val jobs = new AtomicInteger
     @volatile var sentinelSeen = false
+    def sentinel(p: java.util.Properties) = p != null && p.getProperty("spark.job.description") == "sentinel"
     val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = if (!sentinel(e.properties)) jobs.incrementAndGet()
       override def onOtherEvent(event: SparkListenerEvent): Unit = event match {
         case e: SparkListenerSQLExecutionStart =>
-          started.incrementAndGet()
-          if (e.description == "sentinel") sentinelSeen = true
+          if (e.description == "sentinel") sentinelSeen = true else sql.incrementAndGet()
         case _ =>
       }
     }
     val sc = spark.sparkContext
     sc.addSparkListener(listener)
     try {
-      NDS.run(spark, karate, DensityNotion.Edge, k = 3, lm = 2, theta = 64, seed = 61L)
-      MPDS.estimateTau(spark, karate, DensityNotion.Edge, sets, theta = 64, seed = 67L)
-      MPDS.estimateGamma(spark, karate, DensityNotion.Edge, sets, theta = 64, seed = 71L)
+      body
       sc.setJobDescription("sentinel")
       try spark.range(1).count()
       finally sc.setJobDescription(null)
       val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
       while (!sentinelSeen && System.nanoTime() < deadline) Thread.sleep(10)
       assert(sentinelSeen)
-      assert(started.get == 1)
+      (sql.get, jobs.get)
     } finally sc.removeSparkListener(listener)
+  }
+
+  test("NDS.run, estimateTau and estimateGamma run no SQL") {
+    val karate = Datasets.karate()
+    val sets = Seq(Set(0, 1, 2, 3), Set(32, 33))
+    val (sql, _) = started {
+      NDS.run(spark, karate, DensityNotion.Edge, k = 3, lm = 2, theta = 64, seed = 61L)
+      MPDS.estimateTau(spark, karate, DensityNotion.Edge, sets, theta = 64, seed = 67L)
+      MPDS.estimateGamma(spark, karate, DensityNotion.Edge, sets, theta = 64, seed = 71L)
+    }
+    assert(sql == 0)
+  }
+
+  test("MPDS.run and ExactMPDS.topK run no SQL, in one job each") {
+    val (sql, jobs) = started {
+      MPDS.run(spark, Datasets.karate(), DensityNotion.Edge, k = 10, theta = 64, seed = 73L)
+      ExactMPDS.topK(spark, fig1, DensityNotion.Edge, 3)
+    }
+    assert(sql == 0 && jobs == 2)
   }
 }
