@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.uncertain.UncertainGraph
 
 /** Exact MPDS by exhaustive possible-world enumeration (§VI-H baseline):
@@ -13,16 +13,9 @@ object ExactMPDS {
 
   final case class Candidate(nodes: Seq[Int], tau: Double)
 
-  /** DataFrame of (nodeSet, tau) with exact τ values for every node set
-    * with τ > 0, in `topK`'s order.
-    */
-  def tauDF(spark: SparkSession, g: UncertainGraph, notion: DensityNotion): DataFrame = {
-    import spark.implicits._
-    topK(spark, g, notion, Int.MaxValue).map(c => (NodeSetKey.of(c.nodes.toArray), c.tau)).toDF("nodeSet", "tau")
-  }
-
   /** Exact top-k MPDS: the `k` node sets of highest τ > 0 with their τ, ties
-    * in numeric order of the sorted ids.
+    * in numeric order of the sorted ids; `k = Int.MaxValue` gives every set
+    * with τ > 0 (Table I).
     */
   def topK(spark: SparkSession, g: UncertainGraph, notion: DensityNotion, k: Int): Seq[Candidate] =
     MPDS.tally(spark, g, Worlds.Enumerated, MPDS.densest(notion, Int.MaxValue), k).topK

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.graph.Graph
 import repro.uncertain.{Rnd, UncertainGraph, WorldSampler}
 
@@ -12,7 +12,7 @@ import repro.uncertain.{Rnd, UncertainGraph, WorldSampler}
   *   reducer's top-k  →  the driver's merge of the R lists.
   *
   * No estimator here plans SQL: the fixed-set scorers (`estimateTau`,
-  * `estimateGamma`) fold the RDD, and only `worldStats` returns a DataFrame.
+  * `estimateGamma`) fold the RDD, and `worldStats` collects its rows.
   */
 object MPDS {
 
@@ -82,10 +82,12 @@ object MPDS {
   ): Result =
     tally(spark, g, Worlds.Sampled(theta, sampler, seed), densest(notion, capPerWorld, allPerWorld, seed), k)
 
-  /** Per-world number of densest subgraphs (Table VIII): DataFrame of
-    * (world, numDensest, capped), where `capped` marks a world with more
-    * than `capPerWorld` densest subgraphs.
+  /** One sampled world's number of densest subgraphs; `capped` marks a
+    * world with more than the cap, whose count stops at the cap.
     */
+  final case class WorldStat(world: Long, numDensest: Long, capped: Boolean)
+
+  /** Per-world number of densest subgraphs (Table VIII), in world order. */
   def worldStats(
       spark: SparkSession,
       g: UncertainGraph,
@@ -94,15 +96,14 @@ object MPDS {
       sampler: WorldSampler = WorldSampler.MonteCarlo,
       seed: Long = 1L,
       capPerWorld: Int = 100000,
-  ): DataFrame = {
-    import spark.implicits._
+  ): Seq[WorldStat] = {
     val sets = densest(notion, capPerWorld)
     Worlds.Sampled(theta, sampler, seed).flatMap(spark, g) { (i, _, world) =>
       var numDensest = 0L
       var capped = false
       for ((_, last) <- sets(i, world)) { numDensest += 1; capped ||= last }
-      Iterator.single((i, numDensest, capped))
-    }.toDS().toDF("world", "numDensest", "capped")
+      Iterator.single(WorldStat(i, numDensest, capped))
+    }.collect().toSeq
   }
 
   /** The weight of the worlds where `hit(world, family, U)` holds, over

@@ -23,8 +23,7 @@ sealed trait Worlds extends Serializable {
 
   /** The rows `f(i, weight, world)` of every world `i`, as one RDD: the
     * only fan-out over possible worlds. It plans no SQL, so a caller that
-    * only collects or folds the rows runs a plain Spark job; one that
-    * aggregates them in SQL turns them into a DataFrame itself. `g` is
+    * collects, folds or shuffles the rows runs a plain Spark job. `g` is
     * broadcast once, and each task builds its worlds from their ids. The
     * ids are split into `defaultParallelism` slices at the boundaries
     * `(j·n)/P` that `spark.range` uses.

@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.core.{DensityNotion, MPDS}
 import repro.data.Datasets
 import repro.graph.{Cliques, HyperPeeling, Pattern}
@@ -17,6 +16,22 @@ import Harness._
 object TableVIII {
   val Cap = 4096
 
+  /** Mean, population std, quartiles and capped count of the worlds'
+    * densest counts. A quartile interpolates linearly between the two
+    * nearest ranks, as Spark's `percentile` and DuckDB's `quantile_cont` do.
+    */
+  def summary(stats: Seq[MPDS.WorldStat]): (Double, Double, Seq[Double], Int) = {
+    val x = stats.map(_.numDensest.toDouble).sorted.toArray
+    val mean = x.sum / x.length
+    val std = math.sqrt(x.map(v => (v - mean) * (v - mean)).sum / x.length)
+    def quantile(p: Double): Double = {
+      val r = p * (x.length - 1)
+      val (lo, hi) = (r.floor.toInt, r.ceil.toInt)
+      if (lo == hi) x(lo) else (hi - r) * x(lo) + (r - lo) * x(hi)
+    }
+    (mean, std, Seq(0.25, 0.5, 0.75).map(quantile), stats.count(_.capped))
+  }
+
   def run(spark: SparkSession): Table = {
     val datasets = Seq(
       ("KarateClub", Datasets.karate(), 320),
@@ -25,18 +40,9 @@ object TableVIII {
     val notions = Seq(
       DensityNotion.Edge, DensityNotion.Clique(3), DensityNotion.Pat(Pattern.Diamond))
     val rows = for ((name, g, theta) <- datasets; notion <- notions) yield {
-      val stats = MPDS.worldStats(spark, g, notion, theta, seed = 401L, capPerWorld = Cap)
-      val agg = stats.agg(
-        avg("numDensest").as("mean"),
-        stddev_pop("numDensest").as("std"),
-        expr("percentile(numDensest, 0.25)").as("q1"),
-        expr("percentile(numDensest, 0.5)").as("q2"),
-        expr("percentile(numDensest, 0.75)").as("q3"),
-        count_if(col("capped")).as("capped"),
-      ).collect().head
-      Seq(name, notion.name, f(agg.getDouble(0)), f(agg.getDouble(1)),
-        s"{${agg.getDouble(2).toLong}, ${agg.getDouble(3).toLong}, ${agg.getDouble(4).toLong}}",
-        agg.getLong(5).toString)
+      val (mean, std, quartiles, capped) =
+        summary(MPDS.worldStats(spark, g, notion, theta, seed = 401L, capPerWorld = Cap))
+      Seq(name, notion.name, f(mean), f(std), quartiles.map(_.toLong).mkString("{", ", ", "}"), capped.toString)
     }
     Table(s"Table VIII: #densest subgraphs per sampled world (cap $Cap)",
       Seq("dataset", "notion", "mean", "std", "quartiles", "capped"), rows)

@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{DensityNotion, ExactMPDS, NodeSetKey}
+import repro.core.{DensityNotion, ExactMPDS}
 import repro.data.Datasets
 import repro.uncertain.{EDS, UncertainGraph}
 import Harness._
@@ -22,8 +22,7 @@ object TableI {
   )
 
   def run(spark: SparkSession): Table = {
-    val tau = ExactMPDS.tauDF(spark, fig1, DensityNotion.Edge)
-      .collect().map(r => NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")).toSet -> r.getAs[Double]("tau")).toMap
+    val tau = ExactMPDS.topK(spark, fig1, DensityNotion.Edge, Int.MaxValue).map(c => c.nodes.toSet -> c.tau).toMap
     val eedRow = "EED" +: sets.map { case (_, s) => f(EDS.expectedEdgeDensity(fig1, s)) }
     val dspRow = "DSP" +: sets.map { case (_, s) => f(tau.getOrElse(s, 0.0)) }
     Table("Table I: EED and DSP of node sets (Figure 1 graph)",

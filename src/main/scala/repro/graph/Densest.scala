@@ -49,11 +49,11 @@ object Densest {
     *
     * `local` maps each node of the flow network at ρ* to its residual
     * strongly connected component outside scc(s) and scc(t), numbered
-    * densely in Tarjan order, or -1; `compV(c)` holds component c's graph
-    * nodes in ascending order. The components are disjoint.
+    * densely in Tarjan order, or -1; `comp(j)` is the component of
+    * `maxSized(j)`.
     */
   final class Family private[Densest] (val num: Long, val den: Long, val maxSized: Array[Int],
-      net: FlowNetwork, local: Array[Int], compV: Array[Array[Int]]) {
+      net: FlowNetwork, local: Array[Int], comp: Array[Int]) {
 
     /** A fresh iterator over the densest subgraphs, each as sorted ids, in
       * the preorder of Algorithm 3's recursion. It builds the condensation
@@ -63,7 +63,7 @@ object Densest {
     def sets(): Iterator[Array[Int]] = {
       // Condensation restricted to non-trivial components (Definition 9
       // defines des/anc over non-trivial components only).
-      val k = compV.length
+      val k = if (local.isEmpty) 0 else local.max + 1
       val dagOut = Array.fill(k)(mutable.HashSet.empty[Int])
       for (u <- 0 until net.numNodes; p <- net.start(u) until net.start(u + 1); if net.cap(p) > 0) {
         val cu = local(u); val cv = local(net.head(p))
@@ -76,6 +76,8 @@ object Densest {
         var d = dc.nextSetBit(0)
         while (d >= 0) { anc(d).set(c); d = dc.nextSetBit(d + 1) }
       }
+      val withV = new java.util.BitSet(k)
+      comp.foreach(withV.set)
 
       // Algorithm 3, depth first with an explicit stack. Level d holds C1 ∪
       // des(C1) and the candidates still to try beside C1, `cands(d)` from
@@ -90,8 +92,9 @@ object Densest {
         private val cands = new Array[Array[Int]](k + 1)
         private val pos = new Array[Int](k + 1)
         private var d = 0
+        private val out = new Array[Int](maxSized.length)
         closures(0) = new java.util.BitSet(k)
-        cands(0) = (0 until k).filter(compV(_).nonEmpty).toArray
+        cands(0) = withV.stream().toArray
 
         def hasNext: Boolean = {
           while (d >= 0 && pos(d) == cands(d).length) d -= 1
@@ -113,12 +116,14 @@ object Densest {
           closures(d) = closure
           if (i == from.length) { cands(d) = from; pos(d) = pos(d - 1) }
           else { cands(d) = from.drop(pos(d - 1)).filter(independent); pos(d) = 0 }
-          val set = mutable.ArrayBuilder.make[Int]
-          var x = closure.nextSetBit(0)
-          while (x >= 0) { set ++= compV(x); x = closure.nextSetBit(x + 1) }
-          val sorted = set.result()
-          java.util.Arrays.sort(sorted)
-          sorted
+          // The nodes of maxSized in the closure: sorted, as maxSized is.
+          var size = 0
+          var j = 0
+          while (j < comp.length) {
+            if (closure.get(comp(j))) { out(size) = maxSized(j); size += 1 }
+            j += 1
+          }
+          java.util.Arrays.copyOf(out, size)
         }
       }
     }
@@ -164,13 +169,10 @@ object Densest {
     // node order. Every component with a V-node is a singleton independent
     // set, so the union of all densest subgraphs is every V-node outside
     // scc(s) and scc(t).
-    val compV = Array.fill(k)(mutable.ArrayBuilder.make[Int])
     val union = mutable.ArrayBuilder.make[Int]
-    for (i <- opt.nodes.indices; c = local(i + 2); if c >= 0) {
-      compV(c) += opt.nodes(i)
-      union += opt.nodes(i)
-    }
-    new Family(opt.num, opt.den, union.result(), opt.net, local, compV.map(_.result()))
+    val unionComp = mutable.ArrayBuilder.make[Int]
+    for (i <- opt.nodes.indices; c = local(i + 2); if c >= 0) { union += opt.nodes(i); unionComp += c }
+    new Family(opt.num, opt.den, union.result(), opt.net, local, unionComp.result())
   }
 
   /** All densest subgraphs for the instances `inst`, up to `cap` of them:

@@ -1,6 +1,5 @@
 package repro.uncertain
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Graph
 
 /** An uncertain graph `G = (V, E, p)` (§II): undirected simple edges with
@@ -105,11 +104,6 @@ final case class UncertainGraph(
       case i if nodes.contains(edgeU(i)) && nodes.contains(edgeV(i)) =>
         (edgeU(i), edgeV(i), prob(i))
     }
-
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    edgeU.indices.map(i => (edgeU(i), edgeV(i), prob(i))).toDF("src", "dst", "p")
-  }
 }
 
 object UncertainGraph {

@@ -13,8 +13,7 @@ class ExactMPDSSpec extends SparkSpec {
 
   /** Exact τ per node set, keyed by its sorted ids. */
   private def exactTau(g: UncertainGraph): Map[Seq[Int], Double] =
-    ExactMPDS.tauDF(spark, g, DensityNotion.Edge).collect()
-      .map(r => NodeSetKey.parse(r.getAs[Array[Byte]]("nodeSet")) -> r.getAs[Double]("tau")).toMap
+    ExactMPDS.topK(spark, g, DensityNotion.Edge, Int.MaxValue).map(c => c.nodes -> c.tau).toMap
 
   test("Table I: exact densest subgraph probabilities of the Figure 1 graph") {
     val tau = exactTau(fig1)
@@ -81,8 +80,7 @@ class ExactMPDSSpec extends SparkSpec {
     // Each world distributes its probability to every densest subgraph, so
     // the sum over sets equals E[#densest subgraphs] >= total world mass
     // with at least one edge.
-    val tau = ExactMPDS.tauDF(spark, fig1, DensityNotion.Edge)
-      .collect().map(_.getDouble(1)).sum
+    val tau = ExactMPDS.topK(spark, fig1, DensityNotion.Edge, Int.MaxValue).map(_.tau).sum
     // Worlds G2..G8 have mass 0.892; G7 credits 3 sets (adds 2*0.168).
     assert(math.abs(tau - (0.892 + 2 * 0.168)) < 1e-9)
   }

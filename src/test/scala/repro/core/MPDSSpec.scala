@@ -1,9 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.functions.{count, lit, round, sum}
 import repro.{Oracle, SparkSpec}
 import repro.uncertain.{UncertainGraph, WorldSampler}
 import repro.data.Datasets
+import repro.exp.TableVIII
 
 class MPDSSpec extends SparkSpec {
 
@@ -54,34 +54,27 @@ class MPDSSpec extends SparkSpec {
     }
   }
 
-  test("oracle validates an uncertain-graph edge aggregation") {
-    val df = Datasets.karate().toDF(spark).cache()
-    val agg = df.groupBy("src").agg(count(lit(1)).as("deg"), round(sum("p"), 6).as("psum"))
-    Oracle.assertEquivalent(
-      agg,
-      "SELECT src, COUNT(*) AS deg, ROUND(SUM(CAST(p AS DOUBLE)), 6) AS psum " +
-        "FROM edges GROUP BY src",
-      "edges" -> df,
-    )
-  }
-
   test("worldStats counts densest subgraphs per world (oracle-checked stats)") {
+    import spark.implicits._
     val theta = 200
     val stats = MPDS.worldStats(spark, fig1, DensityNotion.Edge, theta, seed = 13L)
-    assert(stats.count() == theta)
+    assert(stats.map(_.world) == (0L until theta))
     // Per-world densest count is 0 (empty world), 1, or 3 (world G7).
-    val counts = stats.collect().map(_.getLong(1)).toSet
-    assert(counts.subsetOf(Set(0L, 1L, 3L)))
-    import org.apache.spark.sql.functions._
-    val summary = stats.agg(
-      sum("numDensest").cast("long").as("total"),
-      max("numDensest").cast("long").as("mx"))
-    Oracle.assertEquivalent(
-      summary,
-      "SELECT CAST(SUM(CAST(numDensest AS BIGINT)) AS BIGINT) AS total, " +
-        "MAX(CAST(numDensest AS BIGINT)) AS mx FROM stats",
-      "stats" -> stats,
-    )
+    assert(stats.map(_.numDensest).toSet.subsetOf(Set(0L, 1L, 3L)))
+    val capped = MPDS.worldStats(spark, Datasets.karate(), DensityNotion.Edge, 64, seed = 13L, capPerWorld = 5)
+    assert(capped.exists(_.capped) && capped.exists(!_.capped))
+    // Table VIII's statistics, computed on the driver.
+    for (rows <- Seq(stats, capped)) {
+      val (mean, std, q, nCapped) = TableVIII.summary(rows)
+      Oracle.assertEquivalent(
+        Seq((mean, std, q(0), q(1), q(2), nCapped.toLong)).toDF("mean", "std", "q1", "q2", "q3", "capped"),
+        "SELECT avg(n) AS mean, stddev_pop(n) AS std, quantile_cont(n, 0.25) AS q1, " +
+          "quantile_cont(n, 0.5) AS q2, quantile_cont(n, 0.75) AS q3, " +
+          "count(*) FILTER (WHERE capped = 'true') AS capped " +
+          "FROM (SELECT CAST(numDensest AS BIGINT) AS n, capped FROM stats)",
+        "stats" -> rows.toDF(),
+      )
+    }
   }
 
   test("all-vs-one: keeping one densest per world underestimates tau") {

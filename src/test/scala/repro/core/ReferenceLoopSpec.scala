@@ -81,7 +81,6 @@ class ReferenceLoopSpec extends SparkSpec {
   test("worldStats rows are the reference per-world counts") {
     val ref = worlds(DensityNotion.Edge, WorldSampler.MonteCarlo, cap).map(_._2)
     val rows = MPDS.worldStats(spark, karate, DensityNotion.Edge, theta, seed = seed, capPerWorld = cap)
-      .collect().map(r => (r.getLong(0), r.getLong(1), r.getBoolean(2))).sortBy(_._1).toSeq
-    assert(rows == ref.zipWithIndex.map { case (w, i) => (i.toLong, w.all.size.toLong, w.capped) })
+    assert(rows == ref.zipWithIndex.map { case (w, i) => MPDS.WorldStat(i.toLong, w.all.size.toLong, w.capped) })
   }
 }

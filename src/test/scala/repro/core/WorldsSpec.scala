@@ -57,11 +57,12 @@ class WorldsSpec extends SparkSpec {
     } finally sc.removeSparkListener(listener)
   }
 
-  test("NDS.run, estimateTau and estimateGamma run no SQL") {
+  test("NDS.run, worldStats, estimateTau and estimateGamma run no SQL") {
     val karate = Datasets.karate()
     val sets = Seq(Set(0, 1, 2, 3), Set(32, 33))
     val (sql, _) = started {
       NDS.run(spark, karate, DensityNotion.Edge, k = 3, lm = 2, theta = 64, seed = 61L)
+      MPDS.worldStats(spark, karate, DensityNotion.Edge, theta = 64, seed = 79L)
       MPDS.estimateTau(spark, karate, DensityNotion.Edge, sets, theta = 64, seed = 67L)
       MPDS.estimateGamma(spark, karate, DensityNotion.Edge, sets, theta = 64, seed = 71L)
     }
